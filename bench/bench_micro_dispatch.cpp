@@ -1,24 +1,27 @@
-// Microbenchmarks for the driver dispatch engines (DESIGN.md §11):
+// Microbenchmarks for driver dispatch (DESIGN.md §11):
 //
 //   * Synthetic wave pairs — one dispatch wave's rack iteration over a
-//     sparse free set, as the OfferQueue bitset walk vs the reference
-//     all-racks scan, at 60 / 256 / 1024 racks. Pure index cost, no
-//     simulation.
+//     sparse free set, as the OfferQueue bitset walk vs an all-racks scan,
+//     at 60 / 256 / 1024 racks. Pure index cost, no simulation.
 //   * Full-run pairs — `driver.dispatch` *self time* (the profiler
-//     section, not whole-run wall) of a 10k-job coscheduler run under the
-//     offer-queue vs scan engines, at the paper's 60 racks and at 256.
-//     These use manual timing so the reported number is exactly the
-//     dispatch cost the tentpole optimizes, and run a fixed single
-//     iteration (a full run each) to keep the suite's cost bounded.
+//     section, not whole-run wall) of a 10k-job coscheduler run with the
+//     offer queue's shortcuts vs the no-shortcut wave, at the paper's 60
+//     racks and at 256. The no-shortcut side wraps the scheduler in the
+//     test-side ScanDispatchScheduler (tests/oracles/scan_dispatch.h): the
+//     driver then offers every free rack on every pass, as the removed
+//     all-racks scan engine did, but walks the free set instead of testing
+//     every rack. These use manual timing so the reported number is exactly
+//     the dispatch cost, and run a fixed single iteration (a full run each)
+//     to keep the suite's cost bounded.
 //
 // The paired *Scan benchmarks run in the same binary, so their ratio is
 // immune to machine-speed differences; tools/bench_engine.py extracts it
 // into BENCH_engine.json.
 //
 // Baseline generation: COSCHED_DISPATCH_BENCH_FORCE_SCAN=1 makes the
-// offer-queue-named benchmarks execute the scan engine instead, which is
-// how results/bench_dispatch_before.json was produced — an honest
-// "before" with matching benchmark names, from the same binary.
+// offer-queue-named benchmarks execute the no-shortcut wave instead (the
+// committed results/bench_dispatch_before.json came from the all-racks
+// scan engine under the same names).
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -26,18 +29,18 @@
 #include <vector>
 
 #include "obs/profile.h"
+#include "oracles/scan_dispatch.h"
 #include "sim/experiment.h"
 #include "sim/offer_queue.h"
 
 namespace cosched {
 namespace {
 
-DispatchEngine engine_or_forced(DispatchEngine engine) {
+/// Whether COSCHED_DISPATCH_BENCH_FORCE_SCAN asks the offer-queue-named
+/// benchmarks to run the no-shortcut wave.
+bool forced_scan() {
   const char* force = std::getenv("COSCHED_DISPATCH_BENCH_FORCE_SCAN");
-  if (force != nullptr && *force != '\0' && *force != '0') {
-    return DispatchEngine::kScan;
-  }
-  return engine;
+  return force != nullptr && *force != '\0' && *force != '0';
 }
 
 // ---- Synthetic wave pairs: one pass over a sparse free set. -------------
@@ -68,7 +71,7 @@ void BM_OfferQueueWave(benchmark::State& state) {
 BENCHMARK(BM_OfferQueueWave)->Arg(60)->Arg(256)->Arg(1024);
 
 void BM_FullScanWave(benchmark::State& state) {
-  // The reference scan's per-wave work: touch every rack, test for free
+  // An all-racks scan's per-wave work: touch every rack, test for free
   // slots, visit the free ones. The free-slot test is a vector load, like
   // Cluster::free_slots.
   const auto racks = static_cast<std::int32_t>(state.range(0));
@@ -93,8 +96,7 @@ BENCHMARK(BM_FullScanWave)->Arg(60)->Arg(256)->Arg(1024);
 
 // ---- Full-run pairs: driver.dispatch self time at 10k jobs. -------------
 
-ExperimentConfig dispatch_config(std::int32_t jobs, std::int32_t racks,
-                                 DispatchEngine engine) {
+ExperimentConfig dispatch_config(std::int32_t jobs, std::int32_t racks) {
   ExperimentConfig cfg;
   cfg.sim.topo = HybridTopology{};  // paper defaults: 60 racks
   cfg.sim.topo.num_racks = racks;
@@ -104,7 +106,6 @@ ExperimentConfig dispatch_config(std::int32_t jobs, std::int32_t racks,
   cfg.repetitions = 1;
   cfg.base_seed = 42;
   cfg.sim.audit = false;
-  cfg.sim.dispatch_engine = engine;
   return cfg;
 }
 
@@ -112,12 +113,13 @@ ExperimentConfig dispatch_config(std::int32_t jobs, std::int32_t racks,
 /// `driver.dispatch` profiler section's total — the self time of the wave
 /// loop itself, scheduler pick_task cost included, event execution and
 /// flow bookkeeping excluded.
-void run_and_report_dispatch_time(benchmark::State& state,
-                                  DispatchEngine engine) {
+void run_and_report_dispatch_time(benchmark::State& state, bool scan) {
   const ExperimentConfig cfg =
       dispatch_config(static_cast<std::int32_t>(state.range(0)),
-                      static_cast<std::int32_t>(state.range(1)), engine);
-  const SchedulerFactory factory = make_scheduler_factory("coscheduler");
+                      static_cast<std::int32_t>(state.range(1)));
+  const SchedulerFactory product = make_scheduler_factory("coscheduler");
+  const SchedulerFactory factory =
+      scan ? scan_dispatch_factory(product) : product;
   for (auto _ : state) {
     Profiler::set_enabled(true);
     Profiler::instance().reset();
@@ -135,8 +137,7 @@ void run_and_report_dispatch_time(benchmark::State& state,
 }
 
 void BM_DriverDispatchSelfTime(benchmark::State& state) {
-  run_and_report_dispatch_time(
-      state, engine_or_forced(DispatchEngine::kOfferQueue));
+  run_and_report_dispatch_time(state, forced_scan());
 }
 BENCHMARK(BM_DriverDispatchSelfTime)
     ->Args({10000, 60})
@@ -146,7 +147,7 @@ BENCHMARK(BM_DriverDispatchSelfTime)
     ->Unit(benchmark::kMillisecond);
 
 void BM_DriverDispatchSelfTimeScan(benchmark::State& state) {
-  run_and_report_dispatch_time(state, DispatchEngine::kScan);
+  run_and_report_dispatch_time(state, /*scan=*/true);
 }
 BENCHMARK(BM_DriverDispatchSelfTimeScan)
     ->Args({10000, 60})

@@ -1,7 +1,7 @@
-// Microbenchmarks for the scheduler decision engines: end-to-end dispatch
-// cost of whole runs under the incremental vs reference engines, one SBS
-// exploration pass under both explore implementations, and BestRackHeap
-// churn. The paired *Reference benchmarks run in the same binary, so their
+// Microbenchmarks for the scheduler decision engine: end-to-end dispatch
+// cost of whole runs under the product Co-scheduler vs the test-side
+// ReferenceCoScheduler (tests/oracles/), one SBS exploration pass under
+// both explore implementations, and BestRackHeap churn. The paired *Reference benchmarks run in the same binary, so their
 // ratio is immune to machine-speed differences (the same trick as
 // bench_micro_net's EPS replan pair); tools/bench_engine.py extracts it
 // into BENCH_engine.json.
@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "oracles/reference_coscheduler.h"
 #include "sched/best_rack_heap.h"
 #include "sched/coscheduler.h"
 #include "sim/experiment.h"
@@ -23,15 +24,19 @@
 namespace cosched {
 namespace {
 
-SchedEngine engine_or_forced(SchedEngine engine) {
+/// Whether COSCHED_SCHED_BENCH_FORCE_REFERENCE asks the incrementally-named
+/// benchmarks to run the reference engine.
+bool forced_reference() {
   const char* force = std::getenv("COSCHED_SCHED_BENCH_FORCE_REFERENCE");
-  if (force != nullptr && *force != '\0' && *force != '0') {
-    return SchedEngine::kReference;
-  }
-  return engine;
+  return force != nullptr && *force != '\0' && *force != '0';
 }
 
-ExperimentConfig dispatch_config(std::int32_t jobs, SchedEngine engine) {
+SchedulerFactory coscheduler_factory(bool reference) {
+  return reference ? make_reference_scheduler_factory("coscheduler")
+                   : make_scheduler_factory("coscheduler");
+}
+
+ExperimentConfig dispatch_config(std::int32_t jobs) {
   ExperimentConfig cfg;
   cfg.sim.topo = HybridTopology{};  // paper defaults: 60 racks
   cfg.workload.num_jobs = jobs;
@@ -40,7 +45,6 @@ ExperimentConfig dispatch_config(std::int32_t jobs, SchedEngine engine) {
   cfg.repetitions = 1;
   cfg.base_seed = 42;
   cfg.sim.audit = false;
-  cfg.sim.sched_engine = engine;
   return cfg;
 }
 
@@ -49,9 +53,8 @@ ExperimentConfig dispatch_config(std::int32_t jobs, SchedEngine engine) {
 // end-to-end time is an honest proxy for scheduler-engine cost.
 void BM_SchedDispatchRun(benchmark::State& state) {
   const ExperimentConfig cfg =
-      dispatch_config(static_cast<std::int32_t>(state.range(0)),
-                      engine_or_forced(SchedEngine::kIncremental));
-  const SchedulerFactory factory = make_scheduler_factory("coscheduler");
+      dispatch_config(static_cast<std::int32_t>(state.range(0)));
+  const SchedulerFactory factory = coscheduler_factory(forced_reference());
   for (auto _ : state) {
     benchmark::DoNotOptimize(run_once(cfg, factory, 0).events_executed);
   }
@@ -64,9 +67,8 @@ BENCHMARK(BM_SchedDispatchRun)
 
 void BM_SchedDispatchRunReference(benchmark::State& state) {
   const ExperimentConfig cfg =
-      dispatch_config(static_cast<std::int32_t>(state.range(0)),
-                      SchedEngine::kReference);
-  const SchedulerFactory factory = make_scheduler_factory("coscheduler");
+      dispatch_config(static_cast<std::int32_t>(state.range(0)));
+  const SchedulerFactory factory = coscheduler_factory(/*reference=*/true);
   for (auto _ : state) {
     benchmark::DoNotOptimize(run_once(cfg, factory, 0).events_executed);
   }
@@ -114,15 +116,15 @@ std::vector<PossibleSchedule> wide_candidate_set() {
   // counts — the shape that makes per-candidate full scans expensive.
   const auto te = DataSize::gigabytes(1.125);
   const std::vector<DataSize> sm{te * 20.0, te * 15.0, te * 10.0, te * 5.0};
-  return possible_reduce_schedules(sm, 40, te, Bandwidth::gbps(100),
-                                   Duration::milliseconds(10), 60);
+  return possible_reduce_schedules(
+      sm, 40, te,
+      legacy_cct_bound(Bandwidth::gbps(100), Duration::milliseconds(10)), 60);
 }
 
 void BM_SbsExplorePass(benchmark::State& state) {
   const auto schedules = wide_candidate_set();
   DriverCostAvailability oracle(60);
-  const bool reference =
-      engine_or_forced(SchedEngine::kIncremental) == SchedEngine::kReference;
+  const bool reference = forced_reference();
   for (auto _ : state) {
     auto explored =
         reference

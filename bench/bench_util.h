@@ -39,18 +39,13 @@
 //   --racks=N             override the paper's 60-rack topology
 //   --sched=NAME          scheduler for single-scheduler benches
 //                         (bench_scale; default coscheduler)
-//   --sched-engine=NAME   scheduler decision engine: incremental (default,
-//                         cached fast path) or reference (the per-event
-//                         recompute oracle) — bit-identical results
-//   --eps-engine=NAME     EPS max-min engine: grouped (default) or
-//                         reference — bit-identical results
-//   --dispatch-engine=NAME driver dispatch engine: offer-queue (default,
-//                         event-driven free-rack set) or scan (the
-//                         O(racks) round-robin oracle) — bit-identical
+//
+// The reference engines the fast paths are checked against live with the
+// tests (tests/oracles/); tests/oracle_diff runs a bench_scale-shaped run
+// under one of them and writes a RunReport to diff against this one.
 #pragma once
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -60,62 +55,11 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
 #include "faults/fault_spec.h"
 #include "sim/experiment.h"
 
 namespace cosched::bench {
-
-/// Strict decimal parse of a whole C string into [min_value, max_value];
-/// rejects empty input, any trailing characters, and overflow. The first
-/// character must be a digit or '-': strtoll itself skips leading
-/// whitespace and accepts '+', which would let " 5" or "+5" through a
-/// parser documented as strict.
-inline bool parse_int32(const char* s, std::int32_t min_value,
-                        std::int32_t max_value, std::int32_t* out) {
-  if (s == nullptr || *s == '\0') return false;
-  const char* digits = (*s == '-') ? s + 1 : s;
-  if (*digits < '0' || *digits > '9') return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s, &end, 10);
-  if (errno == ERANGE || end == s || *end != '\0') return false;
-  if (v < min_value || v > max_value) return false;
-  *out = static_cast<std::int32_t>(v);
-  return true;
-}
-
-/// Strict decimal parse of a whole C string into a uint64. The first
-/// character must be a digit: besides whitespace/'+' laundering, strtoull
-/// parses a *negative* number by wrapping it into range without setting
-/// ERANGE, so " -1" would sail through the old '-' prefix check (which the
-/// skipped whitespace defeated) and come back as 18446744073709551615.
-inline bool parse_uint64(const char* s, std::uint64_t* out) {
-  if (s == nullptr || *s < '0' || *s > '9') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno == ERANGE || end == s || *end != '\0') return false;
-  *out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
-/// Strict decimal parse of a whole C string into [min_value, max_value];
-/// same contract as parse_int32 — no leading whitespace, no '+', no
-/// trailing characters, and inf/nan spellings are rejected (the first
-/// character must be a digit, '-', or '.').
-inline bool parse_double(const char* s, double min_value, double max_value,
-                         double* out) {
-  if (s == nullptr || *s == '\0') return false;
-  const char* digits = (*s == '-') ? s + 1 : s;
-  if ((*digits < '0' || *digits > '9') && *digits != '.') return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (errno == ERANGE || end == s || *end != '\0') return false;
-  if (!(v >= min_value && v <= max_value)) return false;  // also rejects NaN
-  *out = v;
-  return true;
-}
 
 struct BenchArgs {
   std::int32_t reps = 2;
@@ -134,17 +78,6 @@ struct BenchArgs {
   std::string profile_out;
   /// Scheduler for single-scheduler benches (bench_scale).
   std::string sched = "coscheduler";
-  /// Scheduler decision engine (--sched-engine=incremental|reference).
-  SchedEngine sched_engine = SchedEngine::kIncremental;
-  /// Planner CCT-bound mode (--bound=fabric|legacy). fabric — the default —
-  /// charges the active fabric's Fabric::cct_lower_bound in PSRT/SBS;
-  /// legacy is the fabric-oblivious escape hatch for A/B comparison
-  /// (metrics stay fabric-aware either way; identical on ocs:1).
-  CctBoundMode cct_bound = CctBoundMode::kFabric;
-  /// EPS rate engine (--eps-engine=grouped|reference).
-  EpsFabric::RateEngine eps_engine = EpsFabric::RateEngine::kGrouped;
-  /// Driver dispatch engine (--dispatch-engine=offer-queue|scan).
-  DispatchEngine dispatch_engine = DispatchEngine::kOfferQueue;
   /// 1 = serial (default), 0 = all hardware threads, N > 1 = N workers.
   std::int32_t threads = 1;
   std::string trace_out;
@@ -254,51 +187,6 @@ struct BenchArgs {
         args.profile = true;
       } else if (const char* sched = value("--sched=")) {
         args.sched = sched;
-      } else if (const char* sched_eng = value("--sched-engine=")) {
-        // Exact-match validation, same spirit as the strict numeric
-        // parsers: anything but the two engine names is an error, never a
-        // silent default.
-        if (std::strcmp(sched_eng, "incremental") == 0) {
-          args.sched_engine = SchedEngine::kIncremental;
-        } else if (std::strcmp(sched_eng, "reference") == 0) {
-          args.sched_engine = SchedEngine::kReference;
-        } else {
-          *error = "--sched-engine expects 'incremental' or 'reference', "
-                   "got '" +
-                   std::string(sched_eng) + "'";
-          return std::nullopt;
-        }
-      } else if (const char* bound = value("--bound=")) {
-        if (std::strcmp(bound, "fabric") == 0) {
-          args.cct_bound = CctBoundMode::kFabric;
-        } else if (std::strcmp(bound, "legacy") == 0) {
-          args.cct_bound = CctBoundMode::kLegacy;
-        } else {
-          *error = "--bound expects 'fabric' or 'legacy', got '" +
-                   std::string(bound) + "'";
-          return std::nullopt;
-        }
-      } else if (const char* eps_eng = value("--eps-engine=")) {
-        if (std::strcmp(eps_eng, "grouped") == 0) {
-          args.eps_engine = EpsFabric::RateEngine::kGrouped;
-        } else if (std::strcmp(eps_eng, "reference") == 0) {
-          args.eps_engine = EpsFabric::RateEngine::kReference;
-        } else {
-          *error = "--eps-engine expects 'grouped' or 'reference', got '" +
-                   std::string(eps_eng) + "'";
-          return std::nullopt;
-        }
-      } else if (const char* de = value("--dispatch-engine=")) {
-        if (std::strcmp(de, "offer-queue") == 0) {
-          args.dispatch_engine = DispatchEngine::kOfferQueue;
-        } else if (std::strcmp(de, "scan") == 0) {
-          args.dispatch_engine = DispatchEngine::kScan;
-        } else {
-          *error = "--dispatch-engine expects 'offer-queue' or 'scan', "
-                   "got '" +
-                   std::string(de) + "'";
-          return std::nullopt;
-        }
       } else if (const char* trace = value("--trace-out=")) {
         args.trace_out = trace;
       } else if (const char* counters = value("--counters-out=")) {
@@ -327,19 +215,9 @@ struct BenchArgs {
         "          [--racks=N (default: paper's 60)]\n"
         "          [--sched=NAME (single-scheduler benches; default "
         "coscheduler)]\n"
-        "          [--sched-engine=incremental|reference (default "
-        "incremental)]\n"
-        "          [--eps-engine=grouped|reference (default grouped)]\n"
-        "          [--dispatch-engine=offer-queue|scan (default "
-        "offer-queue)]\n"
         "          [--fabric=ocs[:K]|rotor[:PERIOD]|mesh|ring (default "
         "ocs:1;\n"
         "           see docs/FABRICS.md)]\n"
-        "          [--bound=fabric|legacy (planner T(C); default fabric, "
-        "the\n"
-        "           active fabric's own bound — legacy is the "
-        "fabric-oblivious\n"
-        "           escape hatch)]\n"
         "          [--faults=SPEC (see docs/FAULTS.md)]\n"
         "          [--audit | --no-audit (invariant auditor; default %s)]\n"
         "          [--trace-out=PATH] [--counters-out=PATH]\n"
@@ -419,10 +297,6 @@ inline ExperimentConfig paper_config(const BenchArgs& args) {
   cfg.sim.faults = args.faults;
   cfg.sim.fabric = args.fabric;
   cfg.sim.audit = args.audit;
-  cfg.sim.sched_engine = args.sched_engine;
-  cfg.sim.cct_bound = args.cct_bound;
-  cfg.sim.eps_engine = args.eps_engine;
-  cfg.sim.dispatch_engine = args.dispatch_engine;
   cfg.sim.heartbeat_sec = std::max(0.0, args.heartbeat_sec);
   return cfg;
 }

@@ -132,7 +132,7 @@ class InvariantAuditor {
   void check_heavy();
   /// Scheduler cache coherence: ask `sched` to re-derive its incremental
   /// caches from `active_jobs` and compare (JobScheduler::audit_invariants).
-  /// A no-op for reference engines, which return an empty report.
+  /// A no-op for schedulers without caches, which return an empty report.
   void check_scheduler(const JobScheduler& sched,
                        const std::vector<Job*>& active_jobs);
   /// Offer-queue coherence: the driver passes OfferQueue::audit()'s

@@ -10,6 +10,11 @@
 
 namespace cosched {
 
+Duration RotorFabric::placement_cost(const TrafficMatrix& matrix) const {
+  return ::cosched::cct_lower_bound(matrix, topo_.ocs_link,
+                                    topo_.ocs_reconfig_delay);
+}
+
 Duration RotorFabric::cct_lower_bound(const TrafficMatrix& matrix) const {
   const Bandwidth bw = link_rate();
   const Duration delta = reconfig_delay();

@@ -50,6 +50,15 @@ class RotorFabric final : public Fabric {
   [[nodiscard]] Duration cct_lower_bound(
       const TrafficMatrix& matrix) const override;
 
+  /// The legacy one-circuit-per-pair T(C) over the topology's OCS link and
+  /// reconfiguration delay. The sound bound above is piecewise constant in
+  /// the reduce spread, and PSRT breaks its plateau ties toward
+  /// concentrating reduces — wrong on a fabric that serves every rack pair
+  /// the same 1/(R-1) of the time. The legacy formula's per-circuit delta
+  /// terms favour spreading (EXPERIMENTS.md, "Fabrics").
+  [[nodiscard]] Duration placement_cost(
+      const TrafficMatrix& matrix) const override;
+
   [[nodiscard]] std::size_t pending_flows() const override {
     return pending_count_;
   }

@@ -56,9 +56,8 @@ struct RunMetrics {
 
   std::uint64_t events_executed = 0;
   /// Dispatch waves that actually scanned (pending work existed at entry).
-  /// Deterministic and engine-invariant: identical across rate, scheduler,
-  /// and dispatch engines — `run_report.py diff` pins it like
-  /// events_executed.
+  /// Deterministic, and identical under the tests' reference engines
+  /// (tests/oracles/) — `run_report.py diff` pins it like events_executed.
   std::uint64_t dispatch_waves = 0;
 
   /// Fault accounting (all zero when the run had an empty fault plan).

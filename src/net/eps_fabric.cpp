@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/log.h"
 #include "obs/perf_monitor.h"
@@ -23,7 +22,8 @@ constexpr double kResidualBits = 1e-3;
 constexpr Duration kReplanInterval = Duration::milliseconds(100);
 
 // Relative tolerance for deciding that a link is saturated at the current
-// fill level. Shared by both rate engines so they freeze identical sets.
+// fill level. The tests' per-flow oracle uses the same value, so both
+// freeze identical sets.
 constexpr double kTightTol = 1e-12;
 
 }  // namespace
@@ -105,13 +105,9 @@ void EpsFabric::recompute_and_replan() {
   last_replan_ = sim_.now();
   // Settle every flow at its current (old) rate before rates change.
   for (auto& [id, af] : active_) settle_flow(af);
-  if (engine_ == RateEngine::kGrouped) {
-    fill_rates_grouped();
-    replan_completion_events(/*assign_group_rates=*/true);
-  } else {
-    fill_rates_reference();
-    replan_completion_events(/*assign_group_rates=*/false);
-  }
+  fill_rates_grouped();
+  replan_completion_events();
+  if (replan_observer_) replan_observer_(*this);
 }
 
 void EpsFabric::fill_rates_grouped() {
@@ -175,8 +171,8 @@ void EpsFabric::fill_rates_grouped() {
     const double best_share = top.ratio;
     const double threshold = best_share * (1.0 + kTightTol);
 
-    // Gather every link saturated at this share. The reference freezes a
-    // flow when either of its endpoint links is within tolerance of
+    // Gather every link saturated at this share. Per-flow filling freezes
+    // a flow when either of its endpoint links is within tolerance of
     // best_share, so one round may drain several links at once.
     tight_links_.clear();
     tight_links_.push_back(top.link);
@@ -203,8 +199,8 @@ void EpsFabric::fill_rates_grouped() {
         --remaining;
         const auto s = static_cast<std::size_t>(g.src);
         const auto d = static_cast<std::size_t>(g.dst);
-        // Drain residual capacity exactly as the per-flow reference does —
-        // one subtract-then-clamp per member flow — so both engines see
+        // Drain residual capacity exactly as per-flow filling does — one
+        // subtract-then-clamp per member flow — so the per-group pass sees
         // bit-identical link capacities in every later round.
         for (std::int32_t k = 0; k < g.count; ++k) {
           up_cap_[s] -= best_share;
@@ -229,90 +225,20 @@ void EpsFabric::fill_rates_grouped() {
   }
 }
 
-void EpsFabric::fill_rates_reference() {
-  COSCHED_PROF_SCOPE("eps.fill_rates");
-  // --- Progressive filling over rack uplinks and downlinks. -------------
-  // Local flows are not constrained by the fabric; they run at NIC speed.
-  const double link_cap = topo_.eps_rack_link().in_bits_per_sec();
-  const auto racks = static_cast<std::size_t>(topo_.num_racks);
-
-  std::vector<double> up_cap(racks, link_cap);
-  std::vector<double> down_cap(racks, link_cap);
-  std::vector<int> up_load(racks, 0);
-  std::vector<int> down_load(racks, 0);
-
-  std::vector<ActiveFlow*> eps_flows;
-  for (auto& [id, af] : active_) {
-    if (af.flow->path() == FlowPath::kLocal) {
-      af.flow->set_rate(topo_.server_nic);
-      continue;
-    }
-    const auto s = static_cast<std::size_t>(af.flow->src().value());
-    const auto d = static_cast<std::size_t>(af.flow->dst().value());
-    COSCHED_CHECK(s < racks && d < racks);
-    ++up_load[s];
-    ++down_load[d];
-    eps_flows.push_back(&af);
-  }
-
-  std::vector<bool> frozen(eps_flows.size(), false);
-  std::size_t remaining = eps_flows.size();
-  while (remaining > 0) {
-    // Find the most constrained link: min residual_capacity / active_load.
-    double best_share = std::numeric_limits<double>::infinity();
-    for (std::size_t r = 0; r < racks; ++r) {
-      if (up_load[r] > 0) {
-        best_share = std::min(best_share, up_cap[r] / up_load[r]);
-      }
-      if (down_load[r] > 0) {
-        best_share = std::min(best_share, down_cap[r] / down_load[r]);
-      }
-    }
-    COSCHED_CHECK(best_share < std::numeric_limits<double>::infinity());
-
-    // Freeze every flow whose uplink or downlink is saturated at this share.
-    bool froze_any = false;
-    for (std::size_t i = 0; i < eps_flows.size(); ++i) {
-      if (frozen[i]) continue;
-      const auto s =
-          static_cast<std::size_t>(eps_flows[i]->flow->src().value());
-      const auto d =
-          static_cast<std::size_t>(eps_flows[i]->flow->dst().value());
-      const bool up_tight =
-          up_cap[s] / up_load[s] <= best_share * (1.0 + kTightTol);
-      const bool down_tight =
-          down_cap[d] / down_load[d] <= best_share * (1.0 + kTightTol);
-      if (!up_tight && !down_tight) continue;
-      eps_flows[i]->flow->set_rate(Bandwidth::bits_per_sec(best_share));
-      frozen[i] = true;
-      froze_any = true;
-      --remaining;
-      up_cap[s] -= best_share;
-      down_cap[d] -= best_share;
-      --up_load[s];
-      --down_load[d];
-      up_cap[s] = std::max(up_cap[s], 0.0);
-      down_cap[d] = std::max(down_cap[d], 0.0);
-    }
-    COSCHED_CHECK_MSG(froze_any, "progressive filling made no progress");
-  }
-}
-
-void EpsFabric::replan_completion_events(bool assign_group_rates) {
+void EpsFabric::replan_completion_events() {
   // Hysteresis: leave a pending event in place when the new ETA moved by
   // less than 0.1% — on_completion_event verifies actual drain and
   // reschedules if the flow is not quite done, so this is safe and avoids
   // O(flows) heap churn on every rate perturbation.
   for (auto& [fid, af] : active_) {
-    if (assign_group_rates) {
-      if (af.flow->path() == FlowPath::kLocal) {
-        af.flow->set_rate(topo_.server_nic);
-      } else {
-        const std::int32_t gi = group_of_pair_[pair_index(*af.flow)];
-        COSCHED_CHECK(gi >= 0);
-        af.flow->set_rate(Bandwidth::bits_per_sec(
-            groups_[static_cast<std::size_t>(gi)].rate));
-      }
+    // Local flows are not constrained by the fabric; they run at NIC speed.
+    if (af.flow->path() == FlowPath::kLocal) {
+      af.flow->set_rate(topo_.server_nic);
+    } else {
+      const std::int32_t gi = group_of_pair_[pair_index(*af.flow)];
+      COSCHED_CHECK(gi >= 0);
+      af.flow->set_rate(Bandwidth::bits_per_sec(
+          groups_[static_cast<std::size_t>(gi)].rate));
     }
     const double rate = af.flow->rate().in_bits_per_sec();
     if (rate <= 0.0) {
@@ -426,6 +352,16 @@ std::size_t EpsFabric::pair_index(const Flow& flow) const {
 DataSize EpsFabric::bytes_in_flight() const {
   return DataSize::bytes(
       static_cast<std::int64_t>(std::max(in_flight_bits_, 0.0) / 8.0));
+}
+
+std::vector<const Flow*> EpsFabric::active_flow_list() const {
+  std::vector<const Flow*> out;
+  out.reserve(active_.size());
+  for (const auto& [id, af] : active_) out.push_back(af.flow);
+  std::sort(out.begin(), out.end(), [](const Flow* a, const Flow* b) {
+    return a->id() < b->id();
+  });
+  return out;
 }
 
 std::vector<std::pair<FlowId, Bandwidth>> EpsFabric::current_rates() const {

@@ -15,9 +15,9 @@
 // and completion, together with per-rack up/down flow counts) and
 // water-fills over groups, locating each round's most constrained link
 // with a lazy min-heap over the 2*racks rack links instead of rescanning
-// every link and every flow per round. The retained per-flow
-// implementation (RateEngine::kReference) computes the same rates bit for
-// bit; the determinism test suite enforces that equivalence.
+// every link and every flow per round. A per-flow progressive filling
+// computes the same rates bit for bit; the tests keep it as the oracle
+// (tests/oracles/reference_eps.h) and check every replan against it.
 //
 // Rates are piecewise constant between network events. Every mutation
 // (flow added, demand added, flow finished) settles in-flight bytes, then
@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/flow.h"
@@ -38,12 +39,9 @@ namespace cosched {
 class EpsFabric {
  public:
   using CompletionCallback = std::function<void(Flow&)>;
-
-  /// Which progressive-filling implementation recomputes rates. kGrouped is
-  /// the production fast path (water-filling over (src, dst) rack-pair
-  /// groups); kReference is the retained per-flow implementation used by
-  /// the equivalence regression tests and the before/after benchmarks.
-  enum class RateEngine { kGrouped, kReference };
+  /// Called at the end of every replan, once every active flow carries its
+  /// new rate.
+  using ReplanObserver = std::function<void(const EpsFabric&)>;
 
   EpsFabric(Simulator& sim, const HybridTopology& topo);
 
@@ -85,13 +83,20 @@ class EpsFabric {
   /// Progressive-filling passes executed so far (diagnostics).
   [[nodiscard]] std::int64_t replans() const { return replans_; }
 
-  void set_rate_engine(RateEngine engine) { engine_ = engine; }
-  [[nodiscard]] RateEngine rate_engine() const { return engine_; }
-
   /// Max-min fair rates for the current flow set (exposed for testing),
   /// sorted by flow id.
   [[nodiscard]] std::vector<std::pair<FlowId, Bandwidth>> current_rates()
       const;
+
+  /// The in-flight flows (EPS and local), sorted by flow id (exposed for
+  /// testing).
+  [[nodiscard]] std::vector<const Flow*> active_flow_list() const;
+
+  /// Test hook: `observer` runs after every replan. Null — the default —
+  /// costs one branch per replan.
+  void set_replan_observer(ReplanObserver observer) {
+    replan_observer_ = std::move(observer);
+  }
 
  private:
   struct ActiveFlow {
@@ -132,15 +137,12 @@ class EpsFabric {
   /// exact); storms are batched at kReplanInterval granularity.
   void request_replan();
   void recompute_and_replan();
-  /// Fast path: water-fill over flow groups with a lazy link min-heap.
-  /// Leaves the per-flow share in each group's `rate`.
+  /// Water-fill over flow groups with a lazy link min-heap. Leaves the
+  /// per-flow share in each group's `rate`.
   void fill_rates_grouped();
-  /// Reference path: per-flow progressive filling with a full link scan
-  /// per round. Assigns flow rates directly (including local flows).
-  void fill_rates_reference();
-  /// Push rates onto flows (grouped engine only) and re-plan completion
-  /// events with ETA hysteresis.
-  void replan_completion_events(bool assign_group_rates);
+  /// Push rates onto flows and re-plan completion events with ETA
+  /// hysteresis.
+  void replan_completion_events();
   void on_completion_event(FlowId id);
   void group_add(const Flow& flow);
   void group_remove(const Flow& flow);
@@ -148,7 +150,7 @@ class EpsFabric {
 
   Simulator& sim_;
   HybridTopology topo_;
-  RateEngine engine_ = RateEngine::kGrouped;
+  ReplanObserver replan_observer_;
   std::unordered_map<FlowId, ActiveFlow> active_;
   SimTime last_replan_ = SimTime::seconds(-1e9);
   bool replan_scheduled_ = false;

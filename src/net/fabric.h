@@ -132,12 +132,23 @@ class Fabric {
   /// can produce completes sooner. Each implementation documents the model
   /// its bound encodes (docs/FABRICS.md section "The bound contract");
   /// ocs:1 reproduces the paper's T(C) (src/coflow/cct_bound.h) bit for
-  /// bit. Consumers: PSRT/SBS planning, Sunflow and BVN coflow priorities,
-  /// RunMetrics::cct_lower_bound, and the auditor's cct-lower-bound check.
+  /// bit. Consumers: Sunflow and BVN coflow priorities,
+  /// RunMetrics::cct_lower_bound, the auditor's cct-lower-bound check, and
+  /// (through the default placement_cost) PSRT/SBS planning.
   /// Pure virtual (not defaulted) because cosched_net cannot link against
   /// TrafficMatrix's accessors — implementations live in src/fabric/.
   [[nodiscard]] virtual Duration cct_lower_bound(
       const TrafficMatrix& matrix) const = 0;
+
+  /// The T(C) the planner (PSRT/SBS) minimizes when it places a job's
+  /// reduces. A placement objective, not a guarantee: it only has to rank
+  /// candidate placements well. Defaults to the sound cct_lower_bound; a
+  /// fabric whose sound bound ranks placements badly overrides it
+  /// (docs/FABRICS.md, "Bound and placement cost").
+  [[nodiscard]] virtual Duration placement_cost(
+      const TrafficMatrix& matrix) const {
+    return cct_lower_bound(matrix);
+  }
 
   // ----- plane access (OCS-family fabrics) ---------------------------------
   /// Independent circuit planes. Non-plane fabrics report 0; plane(i) is

@@ -15,28 +15,10 @@
 #include "obs/perf_monitor.h"
 #include "obs/profile.h"
 #include "sched/best_rack_heap.h"
-#include "sched/fairness.h"
 
 namespace cosched {
 
-namespace {
-
-/// The bound the planner charges under `ctx`: the fabric's own
-/// cct_lower_bound by default, the legacy ocs:1 formula under
-/// --bound=legacy or when no fabric is attached (hand-built contexts).
-CctBoundFn planner_cct_bound(const SchedContext& ctx) {
-  if (ctx.cct_bound == CctBoundMode::kFabric && ctx.fabric != nullptr) {
-    const Fabric* fabric = ctx.fabric;
-    return [fabric](const TrafficMatrix& matrix) {
-      return fabric->cct_lower_bound(matrix);
-    };
-  }
-  return legacy_cct_bound(ctx.topo.ocs_link, ctx.topo.ocs_reconfig_delay);
-}
-
-}  // namespace
-
-std::vector<PossibleSchedule> possible_reduce_schedules(
+std::vector<PossibleSchedule> possible_reduce_schedules_incremental(
     const std::vector<DataSize>& sm, std::int32_t num_reduces,
     DataSize elephant_threshold, const CctBoundFn& bound,
     std::int32_t max_racks) {
@@ -80,73 +62,10 @@ std::vector<PossibleSchedule> possible_reduce_schedules(
       --rem;
     }
 
-    // CCT lower bound for this placement, with reduce racks abstracted as
-    // fresh ids (rack identities are chosen later by SBS).
-    TrafficMatrix matrix;
-    for (std::size_t i = 0; i < sorted.size(); ++i) {
-      for (std::size_t j = 0; j < d.size(); ++j) {
-        const DataSize c =
-            sorted[i] * (static_cast<double>(d[j]) /
-                         static_cast<double>(num_reduces));
-        matrix.add(RackId{static_cast<std::int64_t>(i)},
-                   RackId{static_cast<std::int64_t>(1000000 + j)}, c);
-      }
-    }
-    PossibleSchedule ps;
-    ps.d = std::move(d);
-    ps.cct = bound(matrix);
-    out.push_back(std::move(ps));
-  }
-  return out;
-}
-
-std::vector<PossibleSchedule> possible_reduce_schedules(
-    const std::vector<DataSize>& sm, std::int32_t num_reduces,
-    DataSize elephant_threshold, Bandwidth ocs_rate, Duration reconfig_delay,
-    std::int32_t max_racks) {
-  return possible_reduce_schedules(sm, num_reduces, elephant_threshold,
-                                   legacy_cct_bound(ocs_rate, reconfig_delay),
-                                   max_racks);
-}
-
-std::vector<PossibleSchedule> possible_reduce_schedules_incremental(
-    const std::vector<DataSize>& sm, std::int32_t num_reduces,
-    DataSize elephant_threshold, const CctBoundFn& bound,
-    std::int32_t max_racks) {
-  std::vector<PossibleSchedule> out;
-  if (sm.empty() || num_reduces <= 0) return out;
-  std::vector<DataSize> sorted = sm;
-  std::sort(sorted.begin(), sorted.end());
-  const DataSize sm_min = sorted.front();
-  COSCHED_CHECK_MSG(sm_min >= elephant_threshold,
-                    "PSRT input must be pre-filtered to >= T_e");
-
-  const auto r_red_max = static_cast<std::int32_t>(std::min<std::int64_t>(
-      {sm_min.in_bytes() / elephant_threshold.in_bytes(),
-       static_cast<std::int64_t>(num_reduces),
-       static_cast<std::int64_t>(max_racks)}));
-
-  for (std::int32_t r_red = 1; r_red <= r_red_max; ++r_red) {
-    const auto d_min = static_cast<std::int32_t>(std::ceil(
-        static_cast<double>(elephant_threshold.in_bytes()) *
-        static_cast<double>(num_reduces) /
-        static_cast<double>(sm_min.in_bytes())));
-    if (static_cast<std::int64_t>(d_min) * r_red > num_reduces) {
-      continue;
-    }
-
-    std::vector<std::int32_t> d(static_cast<std::size_t>(r_red), d_min);
-    std::int32_t rem = num_reduces - d_min * r_red;
-    std::size_t next = 0;
-    while (rem > 0) {
-      d[next] += 1;
-      next = (next + 1) % d.size();
-      --rem;
-    }
-
-    // The reference builds the full m x r_red matrix with entries
-    //   c_ij = sorted[i] * (d[j] / num_reduces)    (exact int64, llround)
-    // and takes `bound` over it. Every fabric bound is, per row/column, a
+    // The candidate's T(C) is `bound` over the full m x r_red matrix
+    //   c_ij = sorted[i] * (d[j] / num_reduces)    (exact int64, llround),
+    // reduce racks abstracted as fresh ids (SBS picks the real racks).
+    // Every fabric bound is, per row/column, a
     // weakly monotone function of (sum, degree) — and weakly monotone in
     // each entry for its per-entry terms — while every row of the full
     // matrix shares degree r_red and every column degree m, with the
@@ -180,58 +99,12 @@ std::vector<PossibleSchedule> possible_reduce_schedules_incremental(
   return out;
 }
 
-std::vector<PossibleSchedule> possible_reduce_schedules_incremental(
-    const std::vector<DataSize>& sm, std::int32_t num_reduces,
-    DataSize elephant_threshold, Bandwidth ocs_rate, Duration reconfig_delay,
-    std::int32_t max_racks) {
-  return possible_reduce_schedules_incremental(
-      sm, num_reduces, elephant_threshold,
-      legacy_cct_bound(ocs_rate, reconfig_delay), max_racks);
-}
-
 std::int32_t mts_map_rack_guideline(DataSize input, double sir,
                                     DataSize elephant_threshold) {
   COSCHED_CHECK(elephant_threshold.in_bytes() > 0);
   const double ratio = (input * std::max(sir, 0.0)) / elephant_threshold;
   const auto r_map = static_cast<std::int32_t>(std::floor(std::sqrt(ratio)));
   return std::max(r_map, 1);
-}
-
-std::vector<ExploredSchedule> explore_schedules(
-    const std::vector<PossibleSchedule>& schedules, std::int32_t num_racks,
-    AvailabilityOracle& availability) {
-  std::vector<ExploredSchedule> out;
-  for (const PossibleSchedule& ps : schedules) {
-    // ExploreSchedule (Algorithm 1): descending D, each d_i to the
-    // earliest-available unselected rack.
-    ExploredSchedule ex;
-    ex.d = ps.d;
-    std::sort(ex.d.begin(), ex.d.end(), std::greater<>());
-    ex.cct = ps.cct;
-
-    bool feasible = true;
-    for (std::int32_t di : ex.d) {
-      Duration best_t = Duration::infinity();
-      RackId best_rack = RackId::invalid();
-      for (std::int32_t r = 0; r < num_racks; ++r) {
-        const RackId rack{r};
-        if (ex.plan.count(rack) > 0) continue;  // selected racks are spent
-        const Duration t = availability.estimate_availability(rack, di);
-        if (t < best_t) {
-          best_t = t;
-          best_rack = rack;
-        }
-      }
-      if (!best_rack.valid() || !best_t.is_finite()) {
-        feasible = false;
-        break;
-      }
-      ex.plan[best_rack] = di;
-      ex.t_max = std::max(ex.t_max, best_t);
-    }
-    if (feasible) out.push_back(std::move(ex));
-  }
-  return out;
 }
 
 std::vector<ExploredSchedule> explore_schedules_incremental(
@@ -243,11 +116,11 @@ std::vector<ExploredSchedule> explore_schedules_incremental(
   if (availability_noisy) {
     // Noisy T_rem estimates draw their per-task factors lazily from one
     // shared RNG stream, so the *values* depend on the global order of
-    // first oracle touches. Replay the reference's exact query order (per
+    // first oracle touches. Keep the plain scan's exact query order (per
     // candidate, d descending, racks ascending, selected racks skipped)
     // and memoize per (rack, count): repeated queries cannot draw anything
     // new (factors are cached per task and no state changes mid-pass), so
-    // a memo hit returns exactly what the reference's repeat call would.
+    // a memo hit returns exactly what a repeat call would.
     std::unordered_map<std::int64_t, Duration> memo;
     const auto estimate = [&](RackId rack, std::int32_t count) {
       const std::int64_t key =
@@ -293,8 +166,8 @@ std::vector<ExploredSchedule> explore_schedules_incremental(
   // so query order is free: per distinct count, estimate every rack once
   // and materialize a (availability, rack-id) rank order through the
   // lazily-repaired heap. Each candidate then takes the first unselected
-  // rack in rank order — exactly the reference scan's strict minimum with
-  // its lowest-rack tie-break.
+  // rack in rank order — exactly the plain scan's strict minimum with its
+  // lowest-rack tie-break.
   std::map<std::int32_t, std::vector<std::pair<double, RackId>>> ranks;
   const auto rank_for = [&](std::int32_t count)
       -> const std::vector<std::pair<double, RackId>>& {
@@ -361,18 +234,19 @@ std::string CoScheduler::name() const {
 }
 
 void CoScheduler::on_job_submitted(Job& job, SchedContext& ctx) {
-  const JobSpec& spec = job.spec();
-  if (engine_ == SchedEngine::kIncremental) {
-    invalidate_no_grant_cache();
-    const std::int64_t s = next_seq_++;
-    seq_.emplace(job.id(), s);
-    UserState& u = users_[spec.user];
-    ++u.active;
-    // Every job has at least one map (JobSpec::validate); reduce-candidate
-    // membership begins at on_maps_completed, matching reduces_eligible.
-    u.map_candidates.emplace(s, &job);
-  }
+  invalidate_no_grant_cache();
+  const std::int64_t s = next_seq_++;
+  seq_.emplace(job.id(), s);
+  UserState& u = users_[job.spec().user];
+  ++u.active;
+  // Every job has at least one map (JobSpec::validate); reduce-candidate
+  // membership begins at on_maps_completed, matching reduces_eligible.
+  u.map_candidates.emplace(s, &job);
+  place_input(job, ctx);
+}
 
+void CoScheduler::place_input(Job& job, SchedContext& ctx) {
+  const JobSpec& spec = job.spec();
   double predicted_sir = spec.sir;
   if (opts_.sir_prediction_error > 0.0) {
     predicted_sir *=
@@ -425,62 +299,70 @@ void CoScheduler::on_job_submitted(Job& job, SchedContext& ctx) {
   job.set_guideline_map_racks(std::move(guideline));
 }
 
+std::vector<DataSize> CoScheduler::planning_input(
+    const Job& job, const SchedContext& ctx) const {
+  std::vector<DataSize> sm;
+  if (!opts_.enable_reduce_planning) return sm;
+  if (!job.shuffle_heavy() || job.spec().num_reduces == 0) return sm;
+  // PSRT operates on the *actual* per-rack map output, disregarding racks
+  // whose output is below T_e (they cannot use the OCS regardless). An
+  // empty result means the reduces spread freely.
+  for (const auto& [rack, size] : job.map_output_by_rack()) {
+    if (size >= ctx.topo.elephant_threshold) sm.push_back(size);
+  }
+  return sm;
+}
+
+CctBoundFn CoScheduler::planner_bound(const SchedContext& ctx) {
+  if (ctx.fabric != nullptr) {
+    const Fabric* fabric = ctx.fabric;
+    return [fabric](const TrafficMatrix& matrix) {
+      return fabric->placement_cost(matrix);
+    };
+  }
+  return legacy_cct_bound(ctx.topo.ocs_link, ctx.topo.ocs_reconfig_delay);
+}
+
 void CoScheduler::on_maps_completed(Job& job, SchedContext& ctx) {
   COSCHED_PROF_SCOPE("coscheduler.on_maps_completed");
-  if (engine_ == SchedEngine::kIncremental) {
-    // Membership must begin before any of the planning early-returns
-    // below: reduces become eligible at all_maps_done whether or not the
-    // job gets a reduce plan.
-    invalidate_no_grant_cache();
-    if (job.spec().num_reduces > 0) {
-      users_[job.spec().user].reduce_candidates.emplace(seq_.at(job.id()),
-                                                        &job);
-    }
+  // Membership must begin before any of the planning early-returns below:
+  // reduces become eligible at all_maps_done whether or not the job gets a
+  // reduce plan.
+  invalidate_no_grant_cache();
+  if (job.spec().num_reduces > 0) {
+    users_[job.spec().user].reduce_candidates.emplace(seq_.at(job.id()),
+                                                      &job);
   }
-  if (!opts_.enable_reduce_planning) return;
-  if (!job.shuffle_heavy() || job.spec().num_reduces == 0) return;
-
-  // PSRT operates on the *actual* per-rack map output, disregarding racks
-  // whose output is below T_e (they cannot use the OCS regardless).
-  std::vector<RackId> map_racks;
-  std::vector<DataSize> sm;
-  for (const auto& [rack, size] : job.map_output_by_rack()) {
-    if (size >= ctx.topo.elephant_threshold) {
-      map_racks.push_back(rack);
-      sm.push_back(size);
-    }
-  }
-  if (sm.empty()) return;  // cannot exploit the OCS; reduces spread freely
+  const std::vector<DataSize> sm = planning_input(job, ctx);
+  if (sm.empty()) return;
 
   PerfScope perf(PerfPhase::kPsrtEnumerate);
   perf.set_size(sm.size());
-  const CctBoundFn bound = planner_cct_bound(ctx);
   const std::vector<PossibleSchedule> schedules =
-      engine_ == SchedEngine::kIncremental
-          ? possible_reduce_schedules_incremental(
-                sm, job.spec().num_reduces, ctx.topo.elephant_threshold,
-                bound, ctx.topo.num_racks)
-          : possible_reduce_schedules(sm, job.spec().num_reduces,
-                                      ctx.topo.elephant_threshold, bound,
-                                      ctx.topo.num_racks);
+      possible_reduce_schedules_incremental(
+          sm, job.spec().num_reduces, ctx.topo.elephant_threshold,
+          planner_bound(ctx), ctx.topo.num_racks);
   if (schedules.empty()) return;
 
-  select_best_schedule(job, schedules, map_racks, ctx);
+  select_best_schedule(job, schedules, ctx);
 }
 
 void CoScheduler::select_best_schedule(
     Job& job, const std::vector<PossibleSchedule>& schedules,
-    const std::vector<RackId>& map_racks, SchedContext& ctx) {
-  (void)map_racks;
+    SchedContext& ctx) {
   PerfScope perf(PerfPhase::kSbsExplore);
   perf.set_size(schedules.size() *
                 static_cast<std::uint64_t>(ctx.topo.num_racks));
-  const std::vector<ExploredSchedule> explored =
-      engine_ == SchedEngine::kIncremental
-          ? explore_schedules_incremental(schedules, ctx.topo.num_racks,
-                                          ctx.availability,
-                                          ctx.availability_noisy)
-          : explore_schedules(schedules, ctx.topo.num_racks, ctx.availability);
+  install_best_plan(job, schedules.size(),
+                    explore_schedules_incremental(schedules, ctx.topo.num_racks,
+                                                  ctx.availability,
+                                                  ctx.availability_noisy),
+                    ctx);
+}
+
+void CoScheduler::install_best_plan(
+    Job& job, std::size_t candidates,
+    const std::vector<ExploredSchedule>& explored, SchedContext& ctx) {
   const std::optional<std::size_t> best_index = best_schedule_index(explored);
   if (!best_index.has_value()) return;
   ExploredSchedule best = explored[*best_index];
@@ -496,18 +378,13 @@ void CoScheduler::select_best_schedule(
     dec.planned_cct = best.cct;
     dec.t_max = best.t_max;
     dec.score_sec = best.score_sec();
-    dec.candidates = static_cast<std::int64_t>(schedules.size());
+    dec.candidates = static_cast<std::int64_t>(candidates);
     ctx.obs->decisions.record(std::move(dec));
   }
   job.set_reduce_plan(std::move(best.plan), best.cct);
 }
 
-namespace {
-
-/// Class-6 gate: a guided shuffle-heavy job may run maps off-guideline only
-/// when no guideline-conforming placement is possible right now — i.e., no
-/// guideline rack has both a free container and a pending local map.
-bool map_overflow_allowed(Job& job, const SchedContext& ctx) {
+bool CoScheduler::map_overflow_allowed(Job& job, const SchedContext& ctx) {
   if (!job.shuffle_heavy() || job.r_map_guideline() <= 0) return true;
   for (RackId r : job.guideline_map_racks()) {
     if (ctx.cluster.free_slots(r) > 0 &&
@@ -518,90 +395,10 @@ bool map_overflow_allowed(Job& job, const SchedContext& ctx) {
   return true;
 }
 
-}  // namespace
-
 std::optional<TaskChoice> CoScheduler::pick_task(RackId rack,
                                                  SchedContext& ctx) {
   PerfScope perf(PerfPhase::kOcasGrant);
   perf.set_size(ctx.active_jobs.size());
-  return engine_ == SchedEngine::kIncremental
-             ? pick_task_incremental(rack, ctx)
-             : pick_task_reference(rack, ctx);
-}
-
-std::optional<TaskChoice> CoScheduler::pick_task_reference(RackId rack,
-                                                           SchedContext& ctx) {
-  for (UserId user : fair_user_order(ctx.active_jobs)) {
-    std::vector<Job*> jobs;
-    for (Job* job : ctx.active_jobs) {
-      if (job->spec().user == user) jobs.push_back(job);
-    }
-
-    // OCAS priority classes (Algorithm 2), evaluated across the user's
-    // jobs in arrival order.
-
-    // 1. Reduce from a shuffle-heavy job whose best schedule contains this
-    //    rack (plan capacity remaining).
-    for (Job* job : jobs) {
-      if (!job->shuffle_heavy() || !job->has_reduce_plan()) continue;
-      if (job->reduce_plan_remaining(rack) <= 0) continue;
-      if (!reduces_eligible(*job, ctx)) continue;
-      if (Task* t = job->next_pending_reduce()) return TaskChoice{job, t, 1};
-    }
-    // 2. Map from a shuffle-heavy job whose data is on this rack and which
-    //    keeps the job's maps on its R_map guideline racks.
-    for (Job* job : jobs) {
-      if (!job->shuffle_heavy() || job->r_map_guideline() <= 0) continue;
-      if (!job->in_map_guideline(rack)) continue;
-      if (Task* t = job->next_pending_map_local(rack)) {
-        return TaskChoice{job, t, 2};
-      }
-    }
-    // 3. Reduce from a non-shuffle-heavy job.
-    for (Job* job : jobs) {
-      if (job->shuffle_heavy()) continue;
-      if (!reduces_eligible(*job, ctx)) continue;
-      if (Task* t = job->next_pending_reduce()) return TaskChoice{job, t, 3};
-    }
-    // 4. Any map from a non-shuffle-heavy job (local first).
-    for (Job* job : jobs) {
-      if (job->shuffle_heavy()) continue;
-      if (Task* t = job->next_pending_map_local(rack)) {
-        return TaskChoice{job, t, 4};
-      }
-    }
-    for (Job* job : jobs) {
-      if (job->shuffle_heavy()) continue;
-      if (Task* t = job->next_pending_map_any()) return TaskChoice{job, t, 4};
-    }
-    // 5. Any available reduce: shuffle-heavy jobs with no plan (their map
-    //    output cannot use the OCS anyway). Planned jobs stay on plan.
-    for (Job* job : jobs) {
-      if (!job->shuffle_heavy() || job->has_reduce_plan()) continue;
-      if (!reduces_eligible(*job, ctx)) continue;
-      if (Task* t = job->next_pending_reduce()) return TaskChoice{job, t, 5};
-    }
-    // 6. Any available map. For a guided shuffle-heavy job this is the
-    //    overflow path (maps beyond the R_map cap or off the data racks,
-    //    paying the remote-read penalty); it only opens once the job's
-    //    guideline racks are saturated, otherwise the guideline would
-    //    dissolve the moment any other rack had a free container.
-    for (Job* job : jobs) {
-      if (!map_overflow_allowed(*job, ctx)) continue;
-      if (Task* t = job->next_pending_map_local(rack)) {
-        return TaskChoice{job, t, 6};
-      }
-    }
-    for (Job* job : jobs) {
-      if (!map_overflow_allowed(*job, ctx)) continue;
-      if (Task* t = job->next_pending_map_any()) return TaskChoice{job, t, 6};
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<TaskChoice> CoScheduler::pick_task_incremental(
-    RackId rack, SchedContext& ctx) {
   const auto num_racks = static_cast<std::size_t>(ctx.topo.num_racks);
   if (no_grant_epoch_.size() < num_racks) no_grant_epoch_.resize(num_racks, 0);
   const auto ri = static_cast<std::size_t>(rack.value());
@@ -635,24 +432,38 @@ std::optional<TaskChoice> CoScheduler::pick_task_incremental(
   // never mentioned the offered rack, so this nullopt holds for every rack
   // until the next epoch bump. This is the common steady-state shape (all
   // placed tasks are running, nothing is releasable), and it lets the
-  // offer-queue engine end the wave after this single pick.
+  // driver's offer queue end the wave after this single pick.
   last_decline_global_ = order.empty();
   return std::nullopt;
 }
 
 std::optional<TaskChoice> CoScheduler::scan_user(UserState& u, RackId rack,
                                                  SchedContext& ctx) {
-  // The six OCAS classes of pick_task_reference, with each "for job in the
-  // user's active jobs" scan narrowed to the candidate list whose
-  // membership is a superset of the class's match condition:
+  // OCAS priority classes (Algorithm 2), each evaluated across the user's
+  // jobs in arrival order:
+  //   1. a reduce of a shuffle-heavy job whose plan has room on this rack;
+  //   2. a data-local map of a shuffle-heavy job on a guideline rack;
+  //   3. a reduce of a non-shuffle-heavy job;
+  //   4. a map of a non-shuffle-heavy job, local first;
+  //   5. a reduce of a shuffle-heavy job with no plan (its map output
+  //      cannot use the OCS anyway; planned jobs stay on plan);
+  //   6. any map, local first. For a guided shuffle-heavy job this is the
+  //      overflow path (maps beyond the R_map cap or off the data racks,
+  //      paying the remote-read penalty); it only opens once the job's
+  //      guideline racks are saturated (map_overflow_allowed), otherwise
+  //      the guideline would dissolve the moment any other rack had a free
+  //      container.
+  // Each "for job in the user's active jobs" scan is narrowed to the
+  // candidate list whose membership is a superset of the class's match
+  // condition:
   //   * reduce_candidates members satisfy all_maps_done && num_reduces > 0,
   //     i.e. reduces_eligible, so classes 1/3/5 need no eligibility check;
   //   * map_candidates members (possibly) have pending maps — a non-null
   //     next_pending_map_local implies a non-null next_pending_map_any, so
   //     pruning on the latter never hides a local match.
-  // Both lists iterate in arrival-sequence order, reproducing the
-  // reference's arrival-order scan; exhausted entries are pruned in place
-  // (the requeue hook re-inserts them if a kill re-opens work).
+  // Both lists iterate in arrival-sequence order, reproducing the plain
+  // arrival-order scan; exhausted entries are pruned in place (the requeue
+  // hook re-inserts them if a kill re-opens work).
 
   // 1. Planned shuffle-heavy reduce with plan capacity on this rack.
   for (auto it = u.reduce_candidates.begin();
@@ -734,7 +545,7 @@ std::optional<TaskChoice> CoScheduler::scan_user(UserState& u, RackId rack,
     }
     ++it;
   }
-  // 6. Overflow map (local first), gated like the reference.
+  // 6. Overflow map (local first), gated by map_overflow_allowed.
   for (auto it = u.map_candidates.begin(); it != u.map_candidates.end();) {
     Job* job = it->second;
     if (job->next_pending_map_any() == nullptr) {
@@ -763,21 +574,18 @@ std::optional<TaskChoice> CoScheduler::scan_user(UserState& u, RackId rack,
 
 void CoScheduler::on_task_placed(Job& job, Task& task, RackId rack) {
   (void)task, (void)rack;
-  if (engine_ != SchedEngine::kIncremental) return;
   invalidate_no_grant_cache();
   ++users_[job.spec().user].running;
 }
 
 void CoScheduler::on_task_completed(Job& job, Task& task, RackId rack) {
   (void)task, (void)rack;
-  if (engine_ != SchedEngine::kIncremental) return;
   invalidate_no_grant_cache();
   --users_[job.spec().user].running;
 }
 
 void CoScheduler::on_task_requeued(Job& job, Task& task, RackId rack) {
   (void)rack;
-  if (engine_ != SchedEngine::kIncremental) return;
   invalidate_no_grant_cache();
   UserState& u = users_[job.spec().user];
   --u.running;
@@ -790,7 +598,6 @@ void CoScheduler::on_task_requeued(Job& job, Task& task, RackId rack) {
 }
 
 void CoScheduler::on_job_completed(Job& job) {
-  if (engine_ != SchedEngine::kIncremental) return;
   invalidate_no_grant_cache();
   const auto it = seq_.find(job.id());
   COSCHED_CHECK_MSG(it != seq_.end(),
@@ -805,7 +612,6 @@ void CoScheduler::on_job_completed(Job& job) {
 
 void CoScheduler::on_reduce_plan_cleared(Job& job) {
   (void)job;
-  if (engine_ != SchedEngine::kIncremental) return;
   // A cleared plan re-opens class-5 grants for the job; its
   // reduce-candidate membership never lapsed (pruning only happens when
   // every reduce is placed, and the breaker targets jobs with unplaced
@@ -815,7 +621,6 @@ void CoScheduler::on_reduce_plan_cleared(Job& job) {
 
 std::string CoScheduler::audit_invariants(
     const std::vector<Job*>& active_jobs) const {
-  if (engine_ != SchedEngine::kIncremental) return {};
   const auto describe = [](const Job& job, const char* what) {
     std::ostringstream os;
     os << "incremental scheduler state incoherent: job " << job.id()

@@ -54,48 +54,26 @@ struct PossibleSchedule {
 };
 
 /// PSRT: all possible schedules for a map-output distribution `sm`
-/// (per-rack output sizes, each >= elephant_threshold, any order). `bound`
-/// evaluates the CCT lower bound of each candidate's abstract traffic
-/// matrix — the active fabric's Fabric::cct_lower_bound under the default
-/// planner mode, or legacy_cct_bound under --bound=legacy.
-[[nodiscard]] std::vector<PossibleSchedule> possible_reduce_schedules(
-    const std::vector<DataSize>& sm, std::int32_t num_reduces,
-    DataSize elephant_threshold, const CctBoundFn& bound,
-    std::int32_t max_racks);
-
-/// Legacy-signature convenience: the fabric-oblivious ocs:1 bound over
-/// (ocs_rate, reconfig_delay). Kept so pre-fabric-aware callers and the
-/// pinned property tests keep compiling against the original contract.
-[[nodiscard]] std::vector<PossibleSchedule> possible_reduce_schedules(
-    const std::vector<DataSize>& sm, std::int32_t num_reduces,
-    DataSize elephant_threshold, Bandwidth ocs_rate, Duration reconfig_delay,
-    std::int32_t max_racks);
-
-/// The incremental-engine PSRT enumeration: bit-identical output to
-/// possible_reduce_schedules for the same `bound`, evaluating it on a
-/// surrogate matrix of O(m + R_red) entries instead of the full m x R_red
-/// build (m = map racks). Every full-matrix entry is the exact integer
-/// llround(SM_i * d_j / R), weakly monotone in both SM_i and d_j, and
-/// every fabric bound is weakly monotone per row/column in (sum, degree):
-/// the binding row is always the largest map rack's and the binding column
-/// is always one receiving d_max = d[0] tasks. The surrogate materializes
-/// exactly those two lines (shared corner entry added once); its extra
-/// degree-1 lines are dominated, so the bound over the surrogate equals
-/// the bound over the full matrix bit for bit (DESIGN.md §11).
+/// (per-rack output sizes, each >= elephant_threshold, any order); `bound`
+/// is the active fabric's Fabric::placement_cost. For every feasible R_red
+/// the distribution D starts every rack at the aggregation floor and feeds
+/// the remaining tasks round-robin, and the candidate's T(C) is `bound`
+/// over the m x R_red matrix c_ij = SM_i * d_j / R (m = map racks).
+///
+/// The matrix is never built: every entry is the exact integer
+/// llround(SM_i * d_j / R), weakly monotone in both SM_i and d_j, and every
+/// fabric bound is weakly monotone per row/column in (sum, degree), so the
+/// binding row is always the largest map rack's and the binding column is
+/// always one receiving d_max = d[0] tasks. A surrogate of exactly those
+/// two lines (shared corner entry added once, O(m + R_red) entries) has
+/// dominated extra degree-1 lines, so `bound` over it equals the bound over
+/// the full matrix bit for bit (DESIGN.md §11; the full-matrix reference
+/// lives with the tests, tests/oracles/).
 [[nodiscard]] std::vector<PossibleSchedule>
 possible_reduce_schedules_incremental(const std::vector<DataSize>& sm,
                                       std::int32_t num_reduces,
                                       DataSize elephant_threshold,
                                       const CctBoundFn& bound,
-                                      std::int32_t max_racks);
-
-/// Legacy-signature convenience, as above.
-[[nodiscard]] std::vector<PossibleSchedule>
-possible_reduce_schedules_incremental(const std::vector<DataSize>& sm,
-                                      std::int32_t num_reduces,
-                                      DataSize elephant_threshold,
-                                      Bandwidth ocs_rate,
-                                      Duration reconfig_delay,
                                       std::int32_t max_racks);
 
 /// MTS's map-rack guideline (Section IV-C), before clamping to the cluster:
@@ -119,23 +97,17 @@ struct ExploredSchedule {
   [[nodiscard]] double score_sec() const { return (cct + t_max).sec(); }
 };
 
-/// SBS's ExploreSchedule over every PSRT candidate: for each, assign the
-/// descending D to the earliest-available unselected racks. Candidates
-/// with no feasible assignment are dropped.
-[[nodiscard]] std::vector<ExploredSchedule> explore_schedules(
-    const std::vector<PossibleSchedule>& schedules, std::int32_t num_racks,
-    AvailabilityOracle& availability);
-
-/// The incremental-engine ExploreSchedule: bit-identical results to
-/// explore_schedules with far fewer oracle queries. Every distinct
-/// (rack, count) pair is estimated at most once per pass and the answers
-/// are memoized; the clean path (availability_noisy == false) additionally
-/// replaces the per-candidate O(racks) min-scans with BestRackHeap rank
-/// orders built once per distinct count. When `availability_noisy` is set
-/// the memoized pass replays the reference's exact query order instead
-/// (same loop, memo lookups), because noisy T_rem estimates draw lazily
-/// from one RNG stream and reordering first touches would change the
-/// drawn values (see SchedContext::availability_noisy).
+/// SBS's ExploreSchedule (Algorithm 1) over every PSRT candidate: assign
+/// the descending D to the earliest-available unselected racks; candidates
+/// with no feasible assignment are dropped. Every distinct (rack, count)
+/// pair is estimated at most once per pass and the answers are memoized;
+/// the clean path (availability_noisy == false) additionally replaces the
+/// per-candidate O(racks) min-scans with BestRackHeap rank orders built
+/// once per distinct count. When `availability_noisy` is set the memoized
+/// pass keeps the plain per-candidate scan's exact query order (same loop,
+/// memo lookups), because noisy T_rem estimates draw lazily from one RNG
+/// stream and reordering first touches would change the drawn values (see
+/// SchedContext::availability_noisy).
 [[nodiscard]] std::vector<ExploredSchedule> explore_schedules_incremental(
     const std::vector<PossibleSchedule>& schedules, std::int32_t num_racks,
     AvailabilityOracle& availability, bool availability_noisy);
@@ -168,21 +140,17 @@ class CoScheduler : public JobScheduler {
   void on_job_submitted(Job& job, SchedContext& ctx) override;
   void on_maps_completed(Job& job, SchedContext& ctx) override;
   std::optional<TaskChoice> pick_task(RackId rack, SchedContext& ctx) override;
-  /// Both engines' pick_task declines are outcome-pure: the reference only
-  /// scans, and the incremental path's decline-time mutations (candidate
-  /// pruning, the no-grant memo) never change a future pick result.
+  /// pick_task declines are outcome-pure: the decline-time mutations
+  /// (candidate pruning, the no-grant memo) never change a future pick
+  /// result.
   [[nodiscard]] bool declines_are_stable() const override { return true; }
-  /// True only when the incremental engine's last decline fell out of an
-  /// empty candidate index: no user had a single map or reduce candidate,
-  /// a condition that mentions no rack, so every rack's pick at this state
-  /// is the same pure nullopt. The reference engine never reports global
-  /// declines — it is the oracle and takes no shortcuts.
+  /// True only when the last decline fell out of an empty candidate index:
+  /// no user had a single map or reduce candidate, a condition that
+  /// mentions no rack, so every rack's pick at this state is the same pure
+  /// nullopt.
   [[nodiscard]] bool last_decline_was_global() const override {
     return last_decline_global_;
   }
-
-  void set_sched_engine(SchedEngine engine) override { engine_ = engine; }
-  [[nodiscard]] SchedEngine sched_engine() const override { return engine_; }
 
   void on_task_placed(Job& job, Task& task, RackId rack) override;
   void on_task_completed(Job& job, Task& task, RackId rack) override;
@@ -193,16 +161,41 @@ class CoScheduler : public JobScheduler {
   [[nodiscard]] std::string audit_invariants(
       const std::vector<Job*>& active_jobs) const override;
 
+ protected:
+  // Building blocks shared with the reference engine the tests check this
+  // one against (tests/oracles/reference_coscheduler.h).
+
+  /// MTS input placement (and the R_map guideline) for a submitted job.
+  void place_input(Job& job, SchedContext& ctx);
+  /// PSRT's input: the job's per-rack map output at or above T_e, or empty
+  /// when the job gets no reduce plan (planning off, not shuffle-heavy, no
+  /// reduces, or no map rack reaching T_e).
+  [[nodiscard]] std::vector<DataSize> planning_input(
+      const Job& job, const SchedContext& ctx) const;
+  /// The T(C) PSRT charges: the fabric's placement_cost, or the legacy
+  /// ocs:1 bound when the context has no fabric.
+  [[nodiscard]] static CctBoundFn planner_bound(const SchedContext& ctx);
+  /// SBS's choice: install the best of `explored` (out of `candidates`
+  /// PSRT schedules) as the job's reduce plan and log the decision.
+  void install_best_plan(Job& job, std::size_t candidates,
+                         const std::vector<ExploredSchedule>& explored,
+                         SchedContext& ctx);
+  /// Class-6 gate: a guided shuffle-heavy job may run maps off-guideline
+  /// only when no guideline rack has both a free container and a pending
+  /// local map.
+  [[nodiscard]] static bool map_overflow_allowed(Job& job,
+                                                 const SchedContext& ctx);
+
  private:
-  // ----- incremental OCAS state (engine_ == kIncremental only) -------------
+  // ----- incremental OCAS state ---------------------------------------------
   //
-  // The reference pick_task scans every active job per container offer —
+  // A plain OCAS pick scans every active job per container offer —
   // O(active_jobs) even when almost all of them are network-bound with
-  // nothing pending. The incremental engine keeps, per user, the jobs that
-  // can still receive a container:
+  // nothing pending. This engine keeps, per user, the jobs that can still
+  // receive a container:
   //
   //   * map_candidates: jobs with (possibly) pending maps. Keyed by an
-  //     arrival sequence number so iteration reproduces the reference's
+  //     arrival sequence number so iteration reproduces the plain
   //     arrival-order scan even after a killed attempt re-inserts a job.
   //     Lazily pruned: a job whose next_pending_map_any() is null is
   //     dropped mid-scan and re-inserted by on_task_requeued if a kill
@@ -212,7 +205,7 @@ class CoScheduler : public JobScheduler {
   //     CoScheduler defers reduces). Same keying and pruning.
   //
   // Candidate membership is a strict superset of every OCAS class's match
-  // condition, so the filtered scans return exactly the reference's first
+  // condition, so the filtered scans return exactly the plain scan's first
   // match. The per-user running-task counters reproduce fair_user_order
   // without touching the active-job list.
   struct UserState {
@@ -229,13 +222,8 @@ class CoScheduler : public JobScheduler {
   /// SBS over the possible schedules; installs the best plan on the job.
   void select_best_schedule(Job& job,
                             const std::vector<PossibleSchedule>& schedules,
-                            const std::vector<RackId>& map_racks,
                             SchedContext& ctx);
 
-  std::optional<TaskChoice> pick_task_reference(RackId rack,
-                                                SchedContext& ctx);
-  std::optional<TaskChoice> pick_task_incremental(RackId rack,
-                                                  SchedContext& ctx);
   /// One user's six OCAS class scans over their candidate lists, pruning
   /// exhausted candidates along the way.
   std::optional<TaskChoice> scan_user(UserState& u, RackId rack,
@@ -244,11 +232,10 @@ class CoScheduler : public JobScheduler {
   /// Any state change that could turn a cached "no grant on this rack"
   /// answer into a grant invalidates every cached answer. Conservatively
   /// bumped on every notification hook: over-bumping costs one extra scan
-  /// per rack, staleness would silently diverge from the reference.
+  /// per rack, staleness would silently change a grant.
   void invalidate_no_grant_cache() { ++epoch_; }
 
   Options opts_;
-  SchedEngine engine_ = SchedEngine::kIncremental;
 
   // uid-ascending so iterating + stable-sorting by (running, uid)
   // reproduces fair_user_order exactly.

@@ -33,16 +33,9 @@ namespace cosched {
 class Fabric;
 struct Observability;
 
-/// Which decision engine a scheduler runs. kIncremental is the production
-/// fast path (cached candidate lists, memoized SBS scans); kReference is
-/// the naive per-event recompute retained as the oracle — the fuzzer and
-/// the determinism suite cross-check the two bit for bit, mirroring
-/// EpsFabric::RateEngine from the network layer.
+/// Kept for the benchmark harness, whose scheduler wrapper
+/// (perfbench/timed_scheduler.h) overrides the two virtuals below.
 enum class SchedEngine : std::uint8_t { kIncremental, kReference };
-
-[[nodiscard]] constexpr const char* to_string(SchedEngine e) {
-  return e == SchedEngine::kIncremental ? "incremental" : "reference";
-}
 
 /// Everything a scheduler may consult when deciding.
 struct SchedContext {
@@ -65,13 +58,11 @@ struct SchedContext {
   /// those touches must fall back to reference-order queries when this is
   /// set (see explore_schedules_incremental).
   bool availability_noisy = false;
-  /// The circuit fabric whose cct_lower_bound the planner consults when
-  /// cct_bound == kFabric. Null (hand-built test contexts) falls back to
-  /// the legacy ocs:1 bound over topo.ocs_link / topo.ocs_reconfig_delay —
-  /// identical to the fabric bound on the default fabric.
+  /// The circuit fabric whose placement_cost the planner minimizes. Null
+  /// (hand-built test contexts) falls back to the legacy ocs:1 bound over
+  /// topo.ocs_link / topo.ocs_reconfig_delay — identical to the fabric's
+  /// placement cost on the default fabric.
   const Fabric* fabric = nullptr;
-  /// Which T(C) the planner charges (SimConfig::cct_bound; --bound=).
-  CctBoundMode cct_bound = CctBoundMode::kFabric;
 };
 
 struct TaskChoice {
@@ -122,16 +113,15 @@ class JobScheduler {
   /// could receive a grant at its current state (e.g. the incremental
   /// candidate index is empty), so replaying pick_task on any other rack
   /// before the next state change would return the identical nullopt with
-  /// no observable side effects. The offer-queue dispatch engine uses this
+  /// no observable side effects. The driver's offer-queue dispatch uses this
   /// to end an all-decline wave after a single pick instead of offering
   /// every free rack (DESIGN.md §11). Only meaningful when
   /// declines_are_stable() is also true; the conservative default is
   /// "rack-dependent".
   [[nodiscard]] virtual bool last_decline_was_global() const { return false; }
 
-  // ----- engine selection ---------------------------------------------------
-  /// Select the decision engine. Default is a no-op: schedulers without an
-  /// incremental path always run their one (reference) implementation.
+  // Kept for perfbench/timed_scheduler.h, which overrides both; nothing in
+  // src/ calls them.
   virtual void set_sched_engine(SchedEngine engine) { (void)engine; }
   [[nodiscard]] virtual SchedEngine sched_engine() const {
     return SchedEngine::kReference;
@@ -140,10 +130,10 @@ class JobScheduler {
   // ----- state-change notifications (incremental engines) -------------------
   // The driver reports every scheduling-relevant state transition through
   // these hooks so an incremental engine can maintain its caches. All are
-  // no-ops by default; the reference engine ignores them. Ordering
-  // contract: each hook fires *after* the corresponding Job counters have
-  // been updated (note_map_placed / note_map_completed / requeue_map / ...),
-  // so a hook sees the same job state a fresh recompute would.
+  // no-ops by default. Ordering contract: each hook fires *after* the
+  // corresponding Job counters have been updated (note_map_placed /
+  // note_map_completed / requeue_map / ...), so a hook sees the same job
+  // state a fresh recompute would.
 
   /// A container was granted to `task` of `job` on `rack`.
   virtual void on_task_placed(Job& job, Task& task, RackId rack) {

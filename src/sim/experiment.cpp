@@ -42,16 +42,22 @@ SchedulerFactory make_scheduler_factory(const std::string& name) {
   return {};
 }
 
-RunMetrics run_once(const ExperimentConfig& cfg,
-                    const SchedulerFactory& factory, std::int32_t rep) {
+std::unique_ptr<SimulationDriver> make_driver(const ExperimentConfig& cfg,
+                                              const SchedulerFactory& factory,
+                                              std::int32_t rep) {
   Rng workload_rng =
       Rng(cfg.base_seed).fork(static_cast<std::uint64_t>(rep) + 1);
   std::vector<JobSpec> jobs = generate_workload(cfg.workload, workload_rng);
 
   SimConfig sim_cfg = cfg.sim;
   sim_cfg.seed = cfg.base_seed + static_cast<std::uint64_t>(rep) * 1000003ULL;
-  SimulationDriver driver(sim_cfg, std::move(jobs), factory());
-  return driver.run();
+  return std::make_unique<SimulationDriver>(sim_cfg, std::move(jobs),
+                                            factory());
+}
+
+RunMetrics run_once(const ExperimentConfig& cfg,
+                    const SchedulerFactory& factory, std::int32_t rep) {
+  return make_driver(cfg, factory, rep)->run();
 }
 
 namespace {

@@ -52,8 +52,13 @@ struct ParallelExperimentConfig {
 /// "coscheduler", "mts+ocas", "ocas". Throws on unknown names.
 [[nodiscard]] SchedulerFactory make_scheduler_factory(const std::string& name);
 
-/// One run: a single repetition of `factory`'s scheduler on the workload
-/// of repetition `rep`.
+/// The driver for a single repetition of `factory`'s scheduler on the
+/// workload of repetition `rep`, built but not yet run.
+[[nodiscard]] std::unique_ptr<SimulationDriver> make_driver(
+    const ExperimentConfig& cfg, const SchedulerFactory& factory,
+    std::int32_t rep);
+
+/// One run: make_driver(cfg, factory, rep), run to completion.
 [[nodiscard]] RunMetrics run_once(const ExperimentConfig& cfg,
                                   const SchedulerFactory& factory,
                                   std::int32_t rep);

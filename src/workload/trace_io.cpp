@@ -2,9 +2,11 @@
 
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 
 #include "common/check.h"
+#include "common/parse.h"
 
 namespace cosched {
 
@@ -24,17 +26,60 @@ std::string join_durations(const std::vector<Duration>& ds) {
   return os.str();
 }
 
-std::vector<Duration> split_durations(const std::string& s) {
-  std::vector<Duration> out;
-  if (s.empty()) return out;
-  std::istringstream is(s);
-  std::string item;
-  while (std::getline(is, item, ';')) {
-    COSCHED_CHECK_MSG(!item.empty(), "empty duration in trace");
-    out.push_back(Duration::seconds(std::stod(item)));
+/// One trace line's fields, parsed strictly: a malformed value fails with
+/// a CheckFailure naming the line and the field.
+class LineParser {
+ public:
+  explicit LineParser(std::size_t line_no) : line_no_(line_no) {}
+
+  std::int64_t int64(const std::string& s, const char* field) const {
+    std::int64_t v = 0;
+    COSCHED_CHECK_MSG(
+        parse_int64(s.c_str(), std::numeric_limits<std::int64_t>::min(),
+                    std::numeric_limits<std::int64_t>::max(), &v),
+        where(field) << "expected an integer, got '" << s << "'");
+    return v;
   }
-  return out;
-}
+
+  std::int32_t int32(const std::string& s, const char* field) const {
+    std::int32_t v = 0;
+    COSCHED_CHECK_MSG(
+        parse_int32(s.c_str(), std::numeric_limits<std::int32_t>::min(),
+                    std::numeric_limits<std::int32_t>::max(), &v),
+        where(field) << "expected a 32-bit integer, got '" << s << "'");
+    return v;
+  }
+
+  double finite(const std::string& s, const char* field) const {
+    double v = 0.0;
+    COSCHED_CHECK_MSG(
+        parse_double(s.c_str(), std::numeric_limits<double>::lowest(),
+                     std::numeric_limits<double>::max(), &v),
+        where(field) << "expected a finite number, got '" << s << "'");
+    return v;
+  }
+
+  std::vector<Duration> durations(const std::string& s,
+                                  const char* field) const {
+    std::vector<Duration> out;
+    if (s.empty()) return out;
+    std::istringstream is(s);
+    std::string item;
+    while (std::getline(is, item, ';')) {
+      COSCHED_CHECK_MSG(!item.empty(), where(field) << "empty duration");
+      out.push_back(Duration::seconds(finite(item, field)));
+    }
+    return out;
+  }
+
+ private:
+  std::string where(const char* field) const {
+    return "trace line " + std::to_string(line_no_) + ", field " + field +
+           ": ";
+  }
+
+  std::size_t line_no_;
+};
 
 std::vector<std::string> split_csv(const std::string& line) {
   std::vector<std::string> fields;
@@ -76,16 +121,17 @@ std::vector<JobSpec> read_trace(std::istream& is) {
     COSCHED_CHECK_MSG(f.size() == 9,
                       "trace line " << line_no << ": expected 9 fields, got "
                                     << f.size());
+    const LineParser p(line_no);
     JobSpec j;
-    j.id = JobId{std::stoll(f[0])};
-    j.user = UserId{std::stoll(f[1])};
-    j.arrival = SimTime::seconds(std::stod(f[2]));
-    j.num_maps = static_cast<std::int32_t>(std::stol(f[3]));
-    j.num_reduces = static_cast<std::int32_t>(std::stol(f[4]));
-    j.input_size = DataSize::bytes(std::stoll(f[5]));
-    j.sir = std::stod(f[6]);
-    j.map_durations = split_durations(f[7]);
-    j.reduce_durations = split_durations(f[8]);
+    j.id = JobId{p.int64(f[0], "job_id")};
+    j.user = UserId{p.int64(f[1], "user_id")};
+    j.arrival = SimTime::seconds(p.finite(f[2], "arrival_sec"));
+    j.num_maps = p.int32(f[3], "num_maps");
+    j.num_reduces = p.int32(f[4], "num_reduces");
+    j.input_size = DataSize::bytes(p.int64(f[5], "input_bytes"));
+    j.sir = p.finite(f[6], "sir");
+    j.map_durations = p.durations(f[7], "map_durations_sec");
+    j.reduce_durations = p.durations(f[8], "reduce_durations_sec");
     j.validate();
     jobs.push_back(std::move(j));
   }

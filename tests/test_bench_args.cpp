@@ -180,85 +180,54 @@ TEST(BenchArgsParse, RejectsNegativeSeedInsteadOfWrapping) {
   EXPECT_FALSE(parse({"--seed=+7"}).has_value());
 }
 
-TEST(BenchArgsParse, SchedEngineFlagParses) {
-  const auto defaults = parse({});
-  ASSERT_TRUE(defaults.has_value());
-  EXPECT_EQ(defaults->sched_engine, SchedEngine::kIncremental);
+/// `flag` must fail as an unknown flag, whatever its value: the engine and
+/// bound switches were removed (their reference engines live with the
+/// tests, and the planner bound is each fabric's placement_cost).
+void expect_unknown_flag(const std::string& flag) {
+  std::string error;
+  EXPECT_FALSE(parse({flag}, &error).has_value()) << flag;
+  EXPECT_EQ(error, "unknown flag: " + flag);
+}
 
-  const auto ref = parse({"--sched-engine=reference"});
-  ASSERT_TRUE(ref.has_value());
-  EXPECT_EQ(ref->sched_engine, SchedEngine::kReference);
-  EXPECT_EQ(paper_config(*ref).sim.sched_engine, SchedEngine::kReference);
-
-  const auto inc = parse({"--sched-engine=incremental"});
-  ASSERT_TRUE(inc.has_value());
-  EXPECT_EQ(inc->sched_engine, SchedEngine::kIncremental);
-  EXPECT_EQ(paper_config(*inc).sim.sched_engine, SchedEngine::kIncremental);
+TEST(BenchArgsParse, SchedEngineFlagIsRemoved) {
+  expect_unknown_flag("--sched-engine=incremental");
+  expect_unknown_flag("--sched-engine=reference");
 }
 
 TEST(BenchArgsParse, RejectsUnknownSchedEngine) {
-  // Anything but the two exact engine names is a loud error — no silent
-  // fallback to the default engine (the laundering this suite exists for).
+  expect_unknown_flag("--sched-engine=fast");
+  expect_unknown_flag("--sched-engine=");
+  // A removed flag stays an error after valid ones, never a silent no-op.
   std::string error;
-  EXPECT_FALSE(parse({"--sched-engine=fast"}, &error).has_value());
-  EXPECT_NE(error.find("--sched-engine"), std::string::npos);
-  EXPECT_NE(error.find("fast"), std::string::npos);
-  EXPECT_FALSE(parse({"--sched-engine="}).has_value());
-  EXPECT_FALSE(parse({"--sched-engine=Incremental"}).has_value());
-  EXPECT_FALSE(parse({"--sched-engine=incremental "}).has_value());
-  EXPECT_FALSE(parse({"--sched-engine=reference0"}).has_value());
+  EXPECT_FALSE(
+      parse({"--jobs=10", "--sched-engine=reference"}, &error).has_value());
+  EXPECT_EQ(error, "unknown flag: --sched-engine=reference");
 }
 
-TEST(BenchArgsParse, EpsEngineFlagParses) {
-  const auto defaults = parse({});
-  ASSERT_TRUE(defaults.has_value());
-  EXPECT_EQ(defaults->eps_engine, EpsFabric::RateEngine::kGrouped);
-
-  const auto ref = parse({"--eps-engine=reference"});
-  ASSERT_TRUE(ref.has_value());
-  EXPECT_EQ(ref->eps_engine, EpsFabric::RateEngine::kReference);
-  EXPECT_EQ(paper_config(*ref).sim.eps_engine,
-            EpsFabric::RateEngine::kReference);
-
-  const auto grouped = parse({"--eps-engine=grouped"});
-  ASSERT_TRUE(grouped.has_value());
-  EXPECT_EQ(grouped->eps_engine, EpsFabric::RateEngine::kGrouped);
+TEST(BenchArgsParse, EpsEngineFlagIsRemoved) {
+  expect_unknown_flag("--eps-engine=grouped");
+  expect_unknown_flag("--eps-engine=reference");
 }
 
 TEST(BenchArgsParse, RejectsUnknownEpsEngine) {
-  std::string error;
-  EXPECT_FALSE(parse({"--eps-engine=incremental"}, &error).has_value());
-  EXPECT_NE(error.find("--eps-engine"), std::string::npos);
-  EXPECT_FALSE(parse({"--eps-engine="}).has_value());
-  EXPECT_FALSE(parse({"--eps-engine=Grouped"}).has_value());
+  expect_unknown_flag("--eps-engine=incremental");
+  expect_unknown_flag("--eps-engine=");
 }
 
-TEST(BenchArgsParse, DispatchEngineFlagParses) {
-  const auto defaults = parse({});
-  ASSERT_TRUE(defaults.has_value());
-  EXPECT_EQ(defaults->dispatch_engine, DispatchEngine::kOfferQueue);
-
-  const auto scan = parse({"--dispatch-engine=scan"});
-  ASSERT_TRUE(scan.has_value());
-  EXPECT_EQ(scan->dispatch_engine, DispatchEngine::kScan);
-  EXPECT_EQ(paper_config(*scan).sim.dispatch_engine, DispatchEngine::kScan);
-
-  const auto oq = parse({"--dispatch-engine=offer-queue"});
-  ASSERT_TRUE(oq.has_value());
-  EXPECT_EQ(oq->dispatch_engine, DispatchEngine::kOfferQueue);
-  EXPECT_EQ(paper_config(*oq).sim.dispatch_engine,
-            DispatchEngine::kOfferQueue);
+TEST(BenchArgsParse, DispatchEngineFlagIsRemoved) {
+  expect_unknown_flag("--dispatch-engine=offer-queue");
+  expect_unknown_flag("--dispatch-engine=scan");
 }
 
 TEST(BenchArgsParse, RejectsUnknownDispatchEngine) {
-  std::string error;
-  EXPECT_FALSE(parse({"--dispatch-engine=queue"}, &error).has_value());
-  EXPECT_NE(error.find("--dispatch-engine"), std::string::npos);
-  EXPECT_NE(error.find("queue"), std::string::npos);
-  EXPECT_FALSE(parse({"--dispatch-engine="}).has_value());
-  EXPECT_FALSE(parse({"--dispatch-engine=offerqueue"}).has_value());
-  EXPECT_FALSE(parse({"--dispatch-engine=Scan"}).has_value());
-  EXPECT_FALSE(parse({"--dispatch-engine=scan "}).has_value());
+  expect_unknown_flag("--dispatch-engine=queue");
+  expect_unknown_flag("--dispatch-engine=");
+}
+
+TEST(BenchArgsParse, BoundFlagIsRemoved) {
+  expect_unknown_flag("--bound=fabric");
+  expect_unknown_flag("--bound=legacy");
+  expect_unknown_flag("--bound=");
 }
 
 TEST(ScaleCombo, RejectsNonPositiveValues) {

@@ -4,7 +4,8 @@
 // setup terms), rotor slot quantization at the exactly-one-period edge,
 // mesh's zero-delta max-entry bound, ring hop scaling with the abstract-id
 // clamp — plus the PSRT reference/incremental surrogate equivalence under
-// every fabric bound (docs/FABRICS.md, "The bound contract").
+// every fabric bound and placement cost, and which placement cost each
+// fabric charges (docs/FABRICS.md, "The bound contract").
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -18,6 +19,7 @@
 #include "fabric/ocs_fabric.h"
 #include "fabric/rotor_fabric.h"
 #include "net/topology.h"
+#include "oracles/reference_coscheduler.h"
 #include "sched/coscheduler.h"
 #include "simcore/simulator.h"
 
@@ -190,39 +192,75 @@ TEST(CctBoundFabric, PsrtIncrementalSurrogateMatchesReferencePerFabric) {
                                     DataSize::gigabytes(2),
                                     DataSize::gigabytes(5)};
   for (const Fabric* fabric : fabrics) {
-    const CctBoundFn bound = [fabric](const TrafficMatrix& matrix) {
-      return fabric->cct_lower_bound(matrix);
-    };
-    const auto reference = possible_reduce_schedules(
-        sm, 7, topo.elephant_threshold, bound, topo.num_racks);
-    const auto incremental = possible_reduce_schedules_incremental(
-        sm, 7, topo.elephant_threshold, bound, topo.num_racks);
-    ASSERT_EQ(reference.size(), incremental.size()) << fabric->name();
-    ASSERT_FALSE(reference.empty()) << fabric->name();
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      EXPECT_EQ(reference[i].d, incremental[i].d) << fabric->name();
-      EXPECT_EQ(bits(reference[i].cct.sec()), bits(incremental[i].cct.sec()))
-          << fabric->name() << " candidate " << i;
+    const std::vector<CctBoundFn> bounds = {
+        [fabric](const TrafficMatrix& matrix) {
+          return fabric->cct_lower_bound(matrix);
+        },
+        [fabric](const TrafficMatrix& matrix) {
+          return fabric->placement_cost(matrix);
+        }};
+    for (const CctBoundFn& bound : bounds) {
+      const auto reference = possible_reduce_schedules(
+          sm, 7, topo.elephant_threshold, bound, topo.num_racks);
+      const auto incremental = possible_reduce_schedules_incremental(
+          sm, 7, topo.elephant_threshold, bound, topo.num_racks);
+      ASSERT_EQ(reference.size(), incremental.size()) << fabric->name();
+      ASSERT_FALSE(reference.empty()) << fabric->name();
+      for (std::size_t i = 0; i < reference.size(); ++i) {
+        EXPECT_EQ(reference[i].d, incremental[i].d) << fabric->name();
+        EXPECT_EQ(bits(reference[i].cct.sec()),
+                  bits(incremental[i].cct.sec()))
+            << fabric->name() << " candidate " << i;
+      }
     }
   }
 }
 
-// The legacy-signature PSRT overloads must keep producing the pre-fabric
-// bound (pinning the escape hatch and the old tests' contract).
-TEST(CctBoundFabric, LegacySignatureOverloadsMatchLegacyBoundFn) {
+// PSRT/SBS minimize Fabric::placement_cost. Every fabric but the rotor
+// charges its sound cct_lower_bound; the rotor charges the legacy ocs:1
+// formula over the topology's OCS link and delay (the old --bound=legacy
+// planner), bit for bit.
+TEST(CctBoundFabric, PlacementCostIsTheSoundBoundExceptOnRotor) {
+  Simulator sim;
   const HybridTopology topo = test_topo();
+  const OcsFabric ocs1(sim, topo, 1);
+  const OcsFabric ocs4(sim, topo, 4);
+  const RotorFabric rotor(sim, topo, Duration::milliseconds(100));
+  const MeshFabric mesh(sim, topo);
+  const RingFabric ring(sim, topo);
+  TrafficMatrix m;
+  m.add(RackId{0}, RackId{1000000}, DataSize::gigabytes(3));
+  m.add(RackId{0}, RackId{1000001}, DataSize::megabytes(700));
+  m.add(RackId{1}, RackId{1000000}, DataSize::gigabytes(2));
+  for (const Fabric* fabric :
+       std::vector<const Fabric*>{&ocs1, &ocs4, &mesh, &ring}) {
+    EXPECT_EQ(bits(fabric->placement_cost(m).sec()),
+              bits(fabric->cct_lower_bound(m).sec()))
+        << fabric->name();
+  }
+  const Duration legacy =
+      cct_lower_bound(m, topo.ocs_link, topo.ocs_reconfig_delay);
+  EXPECT_EQ(bits(rotor.placement_cost(m).sec()), bits(legacy.sec()));
+  EXPECT_NE(bits(rotor.placement_cost(m).sec()),
+            bits(rotor.cct_lower_bound(m).sec()));
+
   const std::vector<DataSize> sm = {DataSize::gigabytes(3),
                                     DataSize::gigabytes(2)};
-  const auto via_signature = possible_reduce_schedules(
-      sm, 5, topo.elephant_threshold, topo.ocs_link, topo.ocs_reconfig_delay,
+  const auto via_rotor = possible_reduce_schedules_incremental(
+      sm, 5, topo.elephant_threshold,
+      [&rotor](const TrafficMatrix& matrix) {
+        return rotor.placement_cost(matrix);
+      },
       topo.num_racks);
-  const auto via_fn = possible_reduce_schedules(
+  const auto via_legacy = possible_reduce_schedules_incremental(
       sm, 5, topo.elephant_threshold,
       legacy_cct_bound(topo.ocs_link, topo.ocs_reconfig_delay),
       topo.num_racks);
-  ASSERT_EQ(via_signature.size(), via_fn.size());
-  for (std::size_t i = 0; i < via_fn.size(); ++i) {
-    EXPECT_EQ(bits(via_signature[i].cct.sec()), bits(via_fn[i].cct.sec()));
+  ASSERT_EQ(via_rotor.size(), via_legacy.size());
+  ASSERT_FALSE(via_rotor.empty());
+  for (std::size_t i = 0; i < via_rotor.size(); ++i) {
+    EXPECT_EQ(via_rotor[i].d, via_legacy[i].d);
+    EXPECT_EQ(bits(via_rotor[i].cct.sec()), bits(via_legacy[i].cct.sec()));
   }
 }
 

@@ -1,13 +1,17 @@
-// Dispatch-engine equivalence regression (part of `ctest -L determinism`).
+// Dispatch equivalence regression (part of `ctest -L determinism`).
 //
-// The event-driven offer-queue dispatcher must reproduce the retained
-// O(racks) round-robin scan *bit for bit*: identical RunMetrics (including
-// the dispatch-wave count), identical container-grant sequences, identical
+// The driver's offer-queue dispatch must reproduce the all-racks
+// round-robin scan *bit for bit*: identical RunMetrics (including the
+// dispatch-wave count), identical container-grant sequences, identical
 // placements — across every scheduler family (including Delay, whose
 // declines mutate skip counters and therefore must never be decline-
 // skipped), both scheduler engines, fault churn, OCS outages, and the
-// delay-scheduling heartbeat path where whole waves place nothing. Any
-// divergence here means the offer queue changed simulation results.
+// delay-scheduling heartbeat path where whole waves place nothing. The
+// scan side runs the same driver under ScanDispatchScheduler
+// (tests/oracles/scan_dispatch.h), which withdraws the decline promises
+// the offer queue's shortcuts rely on, audited so the free set is checked
+// against the cluster at every wave. Any divergence here means the offer
+// queue changed simulation results.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -17,6 +21,8 @@
 
 #include "faults/fault_spec.h"
 #include "obs/observability.h"
+#include "oracles/reference_coscheduler.h"
+#include "oracles/scan_dispatch.h"
 #include "sim/experiment.h"
 
 namespace cosched {
@@ -70,12 +76,25 @@ ExperimentConfig base_config(std::uint64_t seed) {
   return cfg;
 }
 
+enum class Dispatch { kOfferQueue, kScan };
+
+/// `factory` under the offer queue's shortcuts, or under the all-racks
+/// scan (audited, as scan_dispatch.h requires).
 std::vector<RunMetrics> run_with_dispatch(ExperimentConfig cfg,
-                                          const std::string& scheduler,
-                                          DispatchEngine engine) {
-  cfg.sim.dispatch_engine = engine;
-  return run_repetitions(cfg, make_scheduler_factory(scheduler),
+                                          const SchedulerFactory& factory,
+                                          Dispatch dispatch) {
+  if (dispatch == Dispatch::kOfferQueue) {
+    return run_repetitions(cfg, factory, ParallelExperimentConfig{});
+  }
+  cfg.sim.audit = true;
+  return run_repetitions(cfg, scan_dispatch_factory(factory),
                          ParallelExperimentConfig{});
+}
+
+std::vector<RunMetrics> run_with_dispatch(const ExperimentConfig& cfg,
+                                          const std::string& scheduler,
+                                          Dispatch dispatch) {
+  return run_with_dispatch(cfg, make_scheduler_factory(scheduler), dispatch);
 }
 
 FaultPlan parse_plan(const std::string& spec) {
@@ -93,26 +112,24 @@ TEST(DispatchEquivalence, EverySchedulerFamilyMatchesBitForBit) {
                             "mts+ocas", "ocas"}) {
     SCOPED_TRACE(sched);
     const ExperimentConfig cfg = base_config(3);
-    const auto scan = run_with_dispatch(cfg, sched, DispatchEngine::kScan);
+    const auto scan = run_with_dispatch(cfg, sched, Dispatch::kScan);
     const auto oq =
-        run_with_dispatch(cfg, sched, DispatchEngine::kOfferQueue);
+        run_with_dispatch(cfg, sched, Dispatch::kOfferQueue);
     expect_runs_bitwise_equal(scan, oq, sched);
   }
 }
 
 TEST(DispatchEquivalence, BothSchedEnginesMatchAcrossDispatchEngines) {
-  // The 2x2 grid: {scan, offer-queue} x {reference, incremental} must all
-  // land on the same bits — the offer queue's decline skipping composes
+  // The 2x2 grid: {scan, offer-queue} x {ReferenceCoScheduler, product
+  // Co-scheduler} must all land on the same bits — the offer queue's decline skipping composes
   // with the incremental engine's own no-grant memo.
   const ExperimentConfig cfg = base_config(5);
   std::vector<std::vector<RunMetrics>> grid;
-  for (const SchedEngine se :
-       {SchedEngine::kReference, SchedEngine::kIncremental}) {
-    for (const DispatchEngine de :
-         {DispatchEngine::kScan, DispatchEngine::kOfferQueue}) {
-      ExperimentConfig c = cfg;
-      c.sim.sched_engine = se;
-      grid.push_back(run_with_dispatch(c, "coscheduler", de));
+  for (const SchedulerFactory& factory :
+       {make_reference_scheduler_factory("coscheduler"),
+        make_scheduler_factory("coscheduler")}) {
+    for (const Dispatch d : {Dispatch::kScan, Dispatch::kOfferQueue}) {
+      grid.push_back(run_with_dispatch(cfg, factory, d));
     }
   }
   for (std::size_t i = 1; i < grid.size(); ++i) {
@@ -129,9 +146,9 @@ TEST(DispatchEquivalence, RandomizedTopologiesMatchBitForBit) {
     cfg.sim.topo.num_racks = static_cast<std::int32_t>(4 + seed * 17);
     cfg.workload.shuffle_heavy_fraction = 0.15 * static_cast<double>(seed);
     const auto scan =
-        run_with_dispatch(cfg, "coscheduler", DispatchEngine::kScan);
+        run_with_dispatch(cfg, "coscheduler", Dispatch::kScan);
     const auto oq =
-        run_with_dispatch(cfg, "coscheduler", DispatchEngine::kOfferQueue);
+        run_with_dispatch(cfg, "coscheduler", Dispatch::kOfferQueue);
     expect_runs_bitwise_equal(scan, oq, "seed" + std::to_string(seed));
   }
 }
@@ -143,14 +160,13 @@ TEST(DispatchEquivalence, GrantSequencesIdenticalGrantForGrant) {
   Observability scan_obs;
   ExperimentConfig scan_cfg = cfg;
   scan_cfg.sim.obs = &scan_obs;
-  scan_cfg.sim.dispatch_engine = DispatchEngine::kScan;
-  const RunMetrics scan =
-      run_once(scan_cfg, make_scheduler_factory("coscheduler"), 0);
+  const RunMetrics scan = run_once(
+      scan_cfg, scan_dispatch_factory(make_scheduler_factory("coscheduler")),
+      0);
 
   Observability oq_obs;
   ExperimentConfig oq_cfg = cfg;
   oq_cfg.sim.obs = &oq_obs;
-  oq_cfg.sim.dispatch_engine = DispatchEngine::kOfferQueue;
   const RunMetrics oq =
       run_once(oq_cfg, make_scheduler_factory("coscheduler"), 0);
 
@@ -180,9 +196,9 @@ TEST(DispatchEquivalence, KillChurnAndOutagesMatchBitForBit) {
       "45s");
   for (const char* sched : {"coscheduler", "delay"}) {
     SCOPED_TRACE(sched);
-    const auto scan = run_with_dispatch(cfg, sched, DispatchEngine::kScan);
+    const auto scan = run_with_dispatch(cfg, sched, Dispatch::kScan);
     const auto oq =
-        run_with_dispatch(cfg, sched, DispatchEngine::kOfferQueue);
+        run_with_dispatch(cfg, sched, Dispatch::kOfferQueue);
     expect_runs_bitwise_equal(scan, oq, sched);
   }
 }
@@ -196,21 +212,21 @@ TEST(DispatchEquivalence, DelayHeartbeatWavesMatchBitForBit) {
   cfg.sim.topo.servers_per_rack = 1;
   cfg.sim.topo.slots_per_server = 4;
   cfg.workload.num_jobs = 14;
-  const auto scan = run_with_dispatch(cfg, "delay", DispatchEngine::kScan);
+  const auto scan = run_with_dispatch(cfg, "delay", Dispatch::kScan);
   const auto oq =
-      run_with_dispatch(cfg, "delay", DispatchEngine::kOfferQueue);
+      run_with_dispatch(cfg, "delay", Dispatch::kOfferQueue);
   expect_runs_bitwise_equal(scan, oq, "delay-heartbeat");
 }
 
 TEST(DispatchEquivalence, DispatchWaveCountIsExportedAndStable) {
   // dispatch_waves lands in RunMetrics, is non-zero for any run that
-  // placed tasks, and is invariant across engines (it counts waves that
+  // placed tasks, and is the same under the scan (it counts waves that
   // scanned, not racks visited).
   const ExperimentConfig cfg = base_config(19);
   const auto scan =
-      run_with_dispatch(cfg, "coscheduler", DispatchEngine::kScan);
+      run_with_dispatch(cfg, "coscheduler", Dispatch::kScan);
   const auto oq =
-      run_with_dispatch(cfg, "coscheduler", DispatchEngine::kOfferQueue);
+      run_with_dispatch(cfg, "coscheduler", Dispatch::kOfferQueue);
   for (std::size_t rep = 0; rep < scan.size(); ++rep) {
     EXPECT_GT(scan[rep].dispatch_waves, 0u);
     EXPECT_EQ(scan[rep].dispatch_waves, oq[rep].dispatch_waves);

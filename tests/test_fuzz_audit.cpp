@@ -1,11 +1,14 @@
 // Randomized simulation fuzzing under the invariant auditor (ctest -L
 // audit). Each iteration draws a seeded random topology x workload x fault
 // plan x scheduler x thread count, runs it with every invariant check
-// armed, and cross-checks the production fast paths against their
-// references: grouped vs per-flow EPS rate engines, incremental vs
-// reference scheduler engines (alone and combined — the full 4-way
-// sched x rate matrix), and serial vs parallel experiment sharding, all
-// bit for bit.
+// armed, and cross-checks the production fast paths against the oracles in
+// tests/oracles/, all bit for bit:
+//   * every EPS replan of the serial and reference-scheduler runs against
+//     per-flow progressive filling (reference_eps.h);
+//   * the incremental Co-scheduler against ReferenceCoScheduler;
+//   * offer-queue dispatch against the all-racks scan, alone and stacked
+//     on the reference scheduler;
+//   * serial against parallel experiment sharding.
 //
 // Environment knobs (all optional; tools/fuzz_sim.py drives them):
 //   COSCHED_FUZZ_RUNS       iterations (default 4 — keeps tier-1 fast)
@@ -33,6 +36,9 @@
 
 #include "audit/invariant_auditor.h"
 #include "faults/fault_spec.h"
+#include "oracles/reference_coscheduler.h"
+#include "oracles/reference_eps.h"
+#include "oracles/scan_dispatch.h"
 #include "sim/experiment.h"
 
 namespace cosched {
@@ -204,6 +210,22 @@ void expect_bitwise_equal(const std::vector<RunMetrics>& a,
   }
 }
 
+/// run_repetitions(cfg, factory) on one thread, with every EPS replan of
+/// every repetition checked against the per-flow oracle.
+std::vector<RunMetrics> run_rate_checked(const ExperimentConfig& cfg,
+                                         const SchedulerFactory& factory,
+                                         const std::string& where) {
+  RateOracleLog log;
+  std::vector<RunMetrics> out;
+  for (std::int32_t rep = 0; rep < cfg.repetitions; ++rep) {
+    const auto driver = make_driver(cfg, factory, rep);
+    check_every_replan(*driver, cfg.sim.topo, &log);
+    out.push_back(driver->run());
+  }
+  EXPECT_EQ(log.mismatches, 0) << where << ": " << log.first_mismatch;
+  return out;
+}
+
 TEST(FuzzAudit, RandomConfigsHoldEveryInvariant) {
   const std::uint64_t runs = env_u64("COSCHED_FUZZ_RUNS", 4);
   const std::uint64_t base = env_u64("COSCHED_FUZZ_SEED_BASE", 0xF022'2026);
@@ -212,10 +234,10 @@ TEST(FuzzAudit, RandomConfigsHoldEveryInvariant) {
     SCOPED_TRACE(c.describe());
     const SchedulerFactory factory = make_scheduler_factory(c.scheduler);
 
-    // Audited serial run with the production (grouped) rate engine.
+    // Audited serial run, every EPS replan checked against the oracle.
     std::vector<RunMetrics> serial;
     try {
-      serial = run_repetitions(c.cfg, factory);
+      serial = run_rate_checked(c.cfg, factory, "serial");
     } catch (const AuditFailure& e) {
       FAIL() << "invariant violation\n" << e.what();
     } catch (const CheckFailure& e) {
@@ -231,38 +253,25 @@ TEST(FuzzAudit, RandomConfigsHoldEveryInvariant) {
       expect_bitwise_equal(serial, sharded, "serial-vs-parallel");
     }
 
-    // Cross the engine axes: every fast path must agree bit for bit with
-    // its reference, alone and combined (the serial run above is
-    // incremental-sched x grouped-rates, so these three cover the 4-way
-    // sched x rate engine matrix).
-    ExperimentConfig eps_ref = c.cfg;
-    eps_ref.sim.eps_engine = EpsFabric::RateEngine::kReference;
-    expect_bitwise_equal(serial, run_repetitions(eps_ref, factory),
-                         "grouped-vs-reference");
-
-    ExperimentConfig sched_ref = c.cfg;
-    sched_ref.sim.sched_engine = SchedEngine::kReference;
-    expect_bitwise_equal(serial, run_repetitions(sched_ref, factory),
+    // The reference scheduler (single-engine schedulers come back
+    // unchanged), its EPS replans checked too.
+    const SchedulerFactory reference =
+        make_reference_scheduler_factory(c.scheduler);
+    expect_bitwise_equal(serial, run_rate_checked(c.cfg, reference, "refsched"),
                          "sched-incremental-vs-reference");
 
-    ExperimentConfig both_ref = sched_ref;
-    both_ref.sim.eps_engine = EpsFabric::RateEngine::kReference;
-    expect_bitwise_equal(serial, run_repetitions(both_ref, factory),
-                         "both-engines-reference");
-
-    // Dispatch-engine crossing: the serial run above used the default
-    // offer queue; the reference scan — alone and stacked on the
-    // all-reference configuration — must land on the same bits.
+    // Dispatch crossing: the runs above used the offer queue's shortcuts;
+    // the all-racks scan (audited) — alone and stacked on the reference
+    // scheduler — must land on the same bits.
     if (env_flag("COSCHED_FUZZ_CROSS_DISPATCH", true)) {
-      ExperimentConfig scan = c.cfg;
-      scan.sim.dispatch_engine = DispatchEngine::kScan;
-      expect_bitwise_equal(serial, run_repetitions(scan, factory),
-                           "offer-queue-vs-scan");
-
-      ExperimentConfig all_ref = both_ref;
-      all_ref.sim.dispatch_engine = DispatchEngine::kScan;
-      expect_bitwise_equal(serial, run_repetitions(all_ref, factory),
-                           "all-fast-vs-all-reference");
+      ExperimentConfig audited = c.cfg;
+      audited.sim.audit = true;
+      expect_bitwise_equal(
+          serial, run_repetitions(audited, scan_dispatch_factory(factory)),
+          "offer-queue-vs-scan");
+      expect_bitwise_equal(
+          serial, run_repetitions(audited, scan_dispatch_factory(reference)),
+          "all-fast-vs-all-reference");
     }
   }
 }

@@ -15,6 +15,7 @@
 #include "cluster/trem_estimator.h"
 #include "coflow/cct_bound.h"
 #include "common/rng.h"
+#include "oracles/reference_coscheduler.h"
 #include "sched/best_rack_heap.h"
 #include "sched/coscheduler.h"
 #include "sim/experiment.h"
@@ -245,6 +246,7 @@ TEST(ReduceSemantics, CoSchedulerDefersFairOverlaps) {
 constexpr auto kTe = DataSize::gigabytes(1.125);
 const Bandwidth kOcsRate = Bandwidth::gbps(100);
 constexpr auto kDelta = Duration::milliseconds(10);
+const CctBoundFn kBound = legacy_cct_bound(kOcsRate, kDelta);
 
 /// The exact abstract traffic matrix PSRT scores a distribution with:
 /// sorted map outputs to fresh reduce-rack ids, each reduce rack receiving
@@ -295,8 +297,8 @@ TEST(PsrtProperty, DistributionSumsToReduceCountAndClearsThreshold) {
       sm.push_back(kTe * rng.uniform(1.0, 8.0));
     }
     const auto num_reduces = static_cast<std::int32_t>(rng.uniform_int(1, 12));
-    const auto schedules = possible_reduce_schedules(
-        sm, num_reduces, kTe, kOcsRate, kDelta, /*max_racks=*/10);
+    const auto schedules = possible_reduce_schedules_incremental(
+        sm, num_reduces, kTe, kBound, /*max_racks=*/10);
 
     const DataSize sm_min = *std::min_element(sm.begin(), sm.end());
     for (const PossibleSchedule& ps : schedules) {
@@ -330,8 +332,8 @@ TEST(PsrtProperty, ChosenDistributionMinimizesTheEnumeratedLowerBound) {
       sm.push_back(kTe * rng.uniform(1.0, 6.0));
     }
     const auto num_reduces = static_cast<std::int32_t>(rng.uniform_int(1, 8));
-    const auto schedules = possible_reduce_schedules(
-        sm, num_reduces, kTe, kOcsRate, kDelta, /*max_racks=*/10);
+    const auto schedules = possible_reduce_schedules_incremental(
+        sm, num_reduces, kTe, kBound, /*max_racks=*/10);
 
     for (const PossibleSchedule& ps : schedules) {
       const auto r_red = static_cast<std::int32_t>(ps.d.size());
@@ -429,8 +431,8 @@ TEST(SbsProperty, BestScheduleMinimizesCctPlusTmax) {
     const auto num_reduces =
         static_cast<std::int32_t>(rng.uniform_int(1, 10));
     const std::int32_t num_racks = 8;
-    const auto schedules = possible_reduce_schedules(
-        sm, num_reduces, kTe, kOcsRate, kDelta, num_racks);
+    const auto schedules = possible_reduce_schedules_incremental(
+        sm, num_reduces, kTe, kBound, num_racks);
     if (schedules.empty()) continue;
 
     std::vector<double> base;
@@ -440,7 +442,7 @@ TEST(SbsProperty, BestScheduleMinimizesCctPlusTmax) {
     ScriptedAvailability oracle(base, /*per_container=*/3.0);
 
     const std::vector<ExploredSchedule> explored =
-        explore_schedules(schedules, num_racks, oracle);
+        explore_schedules_incremental(schedules, num_racks, oracle, false);
     ASSERT_EQ(explored.size(), schedules.size());  // all feasible here
     const auto best = best_schedule_index(explored);
     ASSERT_TRUE(best.has_value());
@@ -472,10 +474,11 @@ TEST(SbsProperty, BestScheduleMinimizesCctPlusTmax) {
 TEST(SbsProperty, InfeasibleWhenNoRackEverFrees) {
   const std::vector<DataSize> sm{kTe * 4.0};
   const auto schedules =
-      possible_reduce_schedules(sm, 4, kTe, kOcsRate, kDelta, 8);
+      possible_reduce_schedules_incremental(sm, 4, kTe, kBound, 8);
   ASSERT_FALSE(schedules.empty());
   ScriptedAvailability oracle({}, 0.0);  // every rack: infinity
-  const auto explored = explore_schedules(schedules, 8, oracle);
+  const auto explored =
+      explore_schedules_incremental(schedules, 8, oracle, false);
   EXPECT_TRUE(explored.empty());
   EXPECT_FALSE(best_schedule_index(explored).has_value());
 }
@@ -483,11 +486,11 @@ TEST(SbsProperty, InfeasibleWhenNoRackEverFrees) {
 TEST(SbsProperty, ExplorationIsDeterministic) {
   const std::vector<DataSize> sm{kTe * 5.0, kTe * 2.5};
   const auto schedules =
-      possible_reduce_schedules(sm, 6, kTe, kOcsRate, kDelta, 8);
+      possible_reduce_schedules_incremental(sm, 6, kTe, kBound, 8);
   ASSERT_FALSE(schedules.empty());
   ScriptedAvailability oracle({5, 1, 9, 2, 8, 3, 7, 4}, 2.0);
-  const auto a = explore_schedules(schedules, 8, oracle);
-  const auto b = explore_schedules(schedules, 8, oracle);
+  const auto a = explore_schedules_incremental(schedules, 8, oracle, false);
+  const auto b = explore_schedules_incremental(schedules, 8, oracle, false);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].plan, b[i].plan);
@@ -627,7 +630,7 @@ TEST(SbsIncrementalProperty, BitEqualToReferenceOnRandomOracles) {
     const std::int32_t num_racks =
         static_cast<std::int32_t>(rng.uniform_int(2, 10));
     const auto schedules = possible_reduce_schedules(
-        sm, num_reduces, kTe, kOcsRate, kDelta, num_racks);
+        sm, num_reduces, kTe, kBound, num_racks);
     if (schedules.empty()) continue;
 
     // Scripted base waits, some racks permanently unavailable so both the
@@ -654,7 +657,7 @@ TEST(SbsIncrementalProperty, BitEqualToReferenceOnRandomOracles) {
 TEST(SbsIncrementalProperty, EachRackCountPairQueriedAtMostOncePerPass) {
   const std::vector<DataSize> sm{kTe * 6.0, kTe * 3.0};
   const auto schedules =
-      possible_reduce_schedules(sm, 8, kTe, kOcsRate, kDelta, 12);
+      possible_reduce_schedules(sm, 8, kTe, kBound, 12);
   ASSERT_GT(schedules.size(), 1u);  // several candidates share counts
   ScriptedAvailability inner({5, 1, 9, 2, 8, 3, 7, 4, 6, 0, 10, 11}, 2.0);
 
@@ -686,7 +689,7 @@ TEST(SbsIncrementalProperty, ReferenceRepeatsQueriesTheFastPathMemoizes) {
   // counts (here every candidate queries every rack at count >= 1).
   const std::vector<DataSize> sm{kTe * 6.0, kTe * 3.0};
   const auto schedules =
-      possible_reduce_schedules(sm, 8, kTe, kOcsRate, kDelta, 12);
+      possible_reduce_schedules(sm, 8, kTe, kBound, 12);
   ASSERT_GT(schedules.size(), 1u);
   ScriptedAvailability inner({5, 1, 9, 2, 8, 3, 7, 4, 6, 0, 10, 11}, 2.0);
 

@@ -1,8 +1,9 @@
 // Scheduler-engine equivalence regression (part of `ctest -L determinism`).
 //
-// The incremental decision engine (cached OCAS candidate lists, memoized
-// SBS explorations, epoch-cached no-grant answers) must reproduce the
-// retained reference engine *bit for bit*: identical RunMetrics, identical
+// The product Co-scheduler's incremental decision engine (cached OCAS
+// candidate lists, memoized SBS explorations, epoch-cached no-grant
+// answers) must reproduce the reference engine (ReferenceCoScheduler,
+// tests/oracles/) *bit for bit*: identical RunMetrics, identical
 // container-grant sequences (same task, same rack, same OCAS class, in the
 // same order), and identical PSRT/SBS placement decisions — across
 // randomized topologies, fault plans (container kills that requeue tasks
@@ -22,6 +23,7 @@
 #include "common/rng.h"
 #include "faults/fault_spec.h"
 #include "obs/observability.h"
+#include "oracles/reference_coscheduler.h"
 #include "sched/coscheduler.h"
 #include "sim/experiment.h"
 
@@ -115,14 +117,22 @@ ExperimentConfig base_config(std::uint64_t seed) {
   return cfg;
 }
 
-std::vector<RunMetrics> run_with_engine(ExperimentConfig cfg,
+enum class Engine { kIncremental, kReference };
+
+/// The scheduler `name` under the product engine or the reference one.
+SchedulerFactory factory_for(const std::string& name, Engine engine) {
+  return engine == Engine::kReference
+             ? make_reference_scheduler_factory(name)
+             : make_scheduler_factory(name);
+}
+
+std::vector<RunMetrics> run_with_engine(const ExperimentConfig& cfg,
                                         const std::string& scheduler,
-                                        SchedEngine engine,
+                                        Engine engine,
                                         std::int32_t threads = 1) {
-  cfg.sim.sched_engine = engine;
   ParallelExperimentConfig par;
   par.threads = threads;
-  return run_repetitions(cfg, make_scheduler_factory(scheduler), par);
+  return run_repetitions(cfg, factory_for(scheduler, engine), par);
 }
 
 FaultPlan parse_plan(const std::string& spec) {
@@ -139,9 +149,9 @@ TEST(SchedEquivalence, RandomizedTopologiesMatchBitForBit) {
     cfg.sim.topo.num_racks = static_cast<std::int32_t>(4 + seed * 3);
     cfg.workload.shuffle_heavy_fraction = 0.1 * static_cast<double>(seed);
     const auto ref =
-        run_with_engine(cfg, "coscheduler", SchedEngine::kReference);
+        run_with_engine(cfg, "coscheduler", Engine::kReference);
     const auto inc =
-        run_with_engine(cfg, "coscheduler", SchedEngine::kIncremental);
+        run_with_engine(cfg, "coscheduler", Engine::kIncremental);
     expect_runs_bitwise_equal(ref, inc, "seed" + std::to_string(seed));
   }
 }
@@ -153,8 +163,8 @@ TEST(SchedEquivalence, AblationModesMatchBitForBit) {
   for (const char* sched : {"mts+ocas", "ocas"}) {
     SCOPED_TRACE(sched);
     const ExperimentConfig cfg = base_config(7);
-    const auto ref = run_with_engine(cfg, sched, SchedEngine::kReference);
-    const auto inc = run_with_engine(cfg, sched, SchedEngine::kIncremental);
+    const auto ref = run_with_engine(cfg, sched, Engine::kReference);
+    const auto inc = run_with_engine(cfg, sched, Engine::kIncremental);
     expect_runs_bitwise_equal(ref, inc, sched);
   }
 }
@@ -166,14 +176,12 @@ TEST(SchedEquivalence, GrantSequencesIdenticalGrantForGrant) {
   Observability ref_obs;
   ExperimentConfig ref_cfg = cfg;
   ref_cfg.sim.obs = &ref_obs;
-  ref_cfg.sim.sched_engine = SchedEngine::kReference;
   const RunMetrics ref =
-      run_once(ref_cfg, make_scheduler_factory("coscheduler"), 0);
+      run_once(ref_cfg, make_reference_scheduler_factory("coscheduler"), 0);
 
   Observability inc_obs;
   ExperimentConfig inc_cfg = cfg;
   inc_cfg.sim.obs = &inc_obs;
-  inc_cfg.sim.sched_engine = SchedEngine::kIncremental;
   const RunMetrics inc =
       run_once(inc_cfg, make_scheduler_factory("coscheduler"), 0);
 
@@ -188,9 +196,9 @@ TEST(SchedEquivalence, ContainerKillChurnMatchesBitForBit) {
   // and the no-grant epoch cache under churn.
   ExperimentConfig cfg = base_config(13);
   cfg.sim.faults = parse_plan("container-kill:p=0.09,straggler:p=0.2:slow=3");
-  const auto ref = run_with_engine(cfg, "coscheduler", SchedEngine::kReference);
+  const auto ref = run_with_engine(cfg, "coscheduler", Engine::kReference);
   const auto inc =
-      run_with_engine(cfg, "coscheduler", SchedEngine::kIncremental);
+      run_with_engine(cfg, "coscheduler", Engine::kIncremental);
   expect_runs_bitwise_equal(ref, inc, "kill-churn");
 }
 
@@ -200,18 +208,18 @@ TEST(SchedEquivalence, NoisyAvailabilityMatchesBitForBit) {
   // engine's reference-order replay path in explore_schedules_incremental.
   ExperimentConfig cfg = base_config(17);
   cfg.sim.trem_error_rate = 0.3;
-  const auto ref = run_with_engine(cfg, "coscheduler", SchedEngine::kReference);
+  const auto ref = run_with_engine(cfg, "coscheduler", Engine::kReference);
   const auto inc =
-      run_with_engine(cfg, "coscheduler", SchedEngine::kIncremental);
+      run_with_engine(cfg, "coscheduler", Engine::kIncremental);
   expect_runs_bitwise_equal(ref, inc, "trem-noise");
 
   // Noise *and* kills together: requeued tasks redraw factors, so any
   // reordering of oracle queries would cascade.
   cfg.sim.faults = parse_plan("container-kill:p=0.06,trem-noise:pct=25");
   const auto ref2 =
-      run_with_engine(cfg, "coscheduler", SchedEngine::kReference);
+      run_with_engine(cfg, "coscheduler", Engine::kReference);
   const auto inc2 =
-      run_with_engine(cfg, "coscheduler", SchedEngine::kIncremental);
+      run_with_engine(cfg, "coscheduler", Engine::kIncremental);
   expect_runs_bitwise_equal(ref2, inc2, "trem-noise+kills");
 }
 
@@ -225,9 +233,9 @@ TEST(SchedEquivalence, OutageAndDeadlockRecoveryMatchesBitForBit) {
   cfg.workload.num_jobs = 12;
   cfg.workload.shuffle_heavy_fraction = 0.6;
   cfg.sim.faults = parse_plan("ocs-outage:at=20s:dur=60s");
-  const auto ref = run_with_engine(cfg, "coscheduler", SchedEngine::kReference);
+  const auto ref = run_with_engine(cfg, "coscheduler", Engine::kReference);
   const auto inc =
-      run_with_engine(cfg, "coscheduler", SchedEngine::kIncremental);
+      run_with_engine(cfg, "coscheduler", Engine::kIncremental);
   expect_runs_bitwise_equal(ref, inc, "outage");
 }
 
@@ -238,9 +246,9 @@ TEST(SchedEquivalence, ZeroReduceJobsMatchBitForBit) {
   ExperimentConfig cfg = base_config(23);
   cfg.workload.max_reduces = 1;  // generator draws reduces in [0, max]
   cfg.workload.num_jobs = 20;
-  const auto ref = run_with_engine(cfg, "coscheduler", SchedEngine::kReference);
+  const auto ref = run_with_engine(cfg, "coscheduler", Engine::kReference);
   const auto inc =
-      run_with_engine(cfg, "coscheduler", SchedEngine::kIncremental);
+      run_with_engine(cfg, "coscheduler", Engine::kIncremental);
   expect_runs_bitwise_equal(ref, inc, "zero-reduce");
 }
 
@@ -250,9 +258,9 @@ TEST(SchedEquivalence, IncrementalEngineIsThreadInvariant) {
   ExperimentConfig cfg = base_config(29);
   cfg.repetitions = 3;
   const auto serial =
-      run_with_engine(cfg, "coscheduler", SchedEngine::kIncremental);
+      run_with_engine(cfg, "coscheduler", Engine::kIncremental);
   const auto sharded = run_with_engine(cfg, "coscheduler",
-                                       SchedEngine::kIncremental,
+                                       Engine::kIncremental,
                                        /*threads=*/3);
   expect_runs_bitwise_equal(serial, sharded, "threads");
 }
@@ -260,7 +268,7 @@ TEST(SchedEquivalence, IncrementalEngineIsThreadInvariant) {
 TEST(PsrtEquivalence, FastPathBitEqualToReferenceOnRandomInputs) {
   // The incremental engine's PSRT enumeration skips the m x R_red traffic
   // matrix entirely (extremal row/column collapse, DESIGN.md §11). That is
-  // only legal if it reproduces the reference candidate list bit for bit:
+  // only legal if it reproduces the full-matrix candidate list bit for bit:
   // same candidate count, same d vectors, same CCT lower-bound bits.
   Rng rng(0x95A7);
   const DataSize te = DataSize::gigabytes(1.125);  // the paper's T_e
@@ -277,10 +285,10 @@ TEST(PsrtEquivalence, FastPathBitEqualToReferenceOnRandomInputs) {
     }
     const auto reduces = static_cast<std::int32_t>(rng.uniform_int(1, 40));
     const auto racks = static_cast<std::int32_t>(rng.uniform_int(2, 64));
-    const auto ref =
-        possible_reduce_schedules(sm, reduces, te, ocs, delta, racks);
-    const auto fast = possible_reduce_schedules_incremental(
-        sm, reduces, te, ocs, delta, racks);
+    const CctBoundFn bound = legacy_cct_bound(ocs, delta);
+    const auto ref = possible_reduce_schedules(sm, reduces, te, bound, racks);
+    const auto fast =
+        possible_reduce_schedules_incremental(sm, reduces, te, bound, racks);
     ASSERT_EQ(ref.size(), fast.size()) << "trial " << trial;
     for (std::size_t i = 0; i < ref.size(); ++i) {
       ASSERT_EQ(ref[i].d, fast[i].d) << "trial " << trial << " cand " << i;
@@ -306,7 +314,6 @@ TEST(SchedEquivalence, RetiredJobsFreeSchedulerState) {
   SimulationDriver driver(sim, generate_workload(cfg.workload, workload_rng),
                           std::move(sched));
   (void)driver.run();
-  EXPECT_EQ(raw->sched_engine(), SchedEngine::kIncremental);
   EXPECT_EQ(raw->audit_invariants({}), "");
 }
 

@@ -1,7 +1,9 @@
 // Unit tests for the workload generator and trace serialization.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -59,6 +61,24 @@ TEST(JobSpec, ValidateCatchesMismatchedDurations) {
   j.input_size = DataSize::gigabytes(1);
   j.map_durations.assign(1, Duration::seconds(10));  // should be 2
   EXPECT_THROW(j.validate(), CheckFailure);
+}
+
+TEST(JobSpec, ValidateRejectsNonFiniteArrivalAndSir) {
+  JobSpec j;
+  j.id = JobId{1};
+  j.user = UserId{0};
+  j.num_maps = 1;
+  j.num_reduces = 0;
+  j.input_size = DataSize::gigabytes(1);
+  j.map_durations.assign(1, Duration::seconds(10));
+  j.validate();
+  JobSpec bad_arrival = j;
+  bad_arrival.arrival =
+      SimTime::seconds(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_THROW(bad_arrival.validate(), CheckFailure);
+  JobSpec bad_sir = j;
+  bad_sir.sir = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(bad_sir.validate(), CheckFailure);
 }
 
 TEST(Generator, ProducesRequestedJobCountSortedByArrival) {
@@ -213,6 +233,54 @@ TEST(TraceIo, RejectsTruncatedLine) {
         "map_durations_sec,reduce_durations_sec\n";
   ss << "0,0,1.0,2\n";
   EXPECT_THROW((void)read_trace(ss), CheckFailure);
+}
+
+/// A three-job trace whose third job (file line 4) is `bad`. Reading it
+/// must fail with a CheckFailure naming line 4 and `field`.
+void expect_line4_rejected(const std::string& bad, const std::string& field) {
+  std::stringstream ss;
+  ss << "job_id,user_id,arrival_sec,num_maps,num_reduces,input_bytes,sir,"
+        "map_durations_sec,reduce_durations_sec\n";
+  ss << "0,0,0,2,1,1000000000,1,5;5,7\n";
+  ss << "1,1,10,1,0,1000000000,0,5,\n";
+  ss << bad << "\n";
+  try {
+    (void)read_trace(ss);
+    ADD_FAILURE() << "accepted: " << bad;
+  } catch (const CheckFailure& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 4"), std::string::npos) << what;
+    EXPECT_NE(what.find(field), std::string::npos) << what;
+  }
+}
+
+TEST(TraceIo, RejectsTrailingGarbageAndOutOfRangeCounts) {
+  // "0xyz" used to parse as job 0, and 2^32 + 2 maps wrapped to 2 through
+  // the int32 cast.
+  expect_line4_rejected("0xyz,2,20,2,0,1000000000,0,5;5,", "job_id");
+  expect_line4_rejected("2,2,20,4294967298,0,1000000000,0,5;5,", "num_maps");
+  expect_line4_rejected("2,2,20,2,-2147483649,1000000000,0,5;5,",
+                        "num_reduces");
+  expect_line4_rejected("2,2,20,2,0,1e9,0,5;5,", "input_bytes");
+  expect_line4_rejected("2,2,20,2,0,1000000000,0,5;5x,", "map_durations_sec");
+}
+
+TEST(TraceIo, RejectsNonFiniteNumbers) {
+  // A nan arrival and an inf SIR used to replay, printing a negative total
+  // shuffle size.
+  expect_line4_rejected("2,2,nan,2,0,1000000000,0,5;5,", "arrival_sec");
+  expect_line4_rejected("2,2,20,2,0,1000000000,inf,5;5,", "sir");
+  expect_line4_rejected("2,2,1e999,2,0,1000000000,0,5;5,", "arrival_sec");
+  expect_line4_rejected("2,2,20,2,0,1000000000,0,5;-inf,",
+                        "map_durations_sec");
+}
+
+TEST(TraceIo, RejectsNonNumericFieldsWithTheLineNumber) {
+  // "abc" used to escape as a bare std::invalid_argument ("stol").
+  expect_line4_rejected("2,2,20,abc,0,1000000000,0,5;5,", "num_maps");
+  expect_line4_rejected("2,abc,20,2,0,1000000000,0,5;5,", "user_id");
+  expect_line4_rejected("2,2,20,2,0,1000000000, 1,5;5,", "sir");
+  expect_line4_rejected("2,2,+20,2,0,1000000000,0,5;5,", "arrival_sec");
 }
 
 }  // namespace

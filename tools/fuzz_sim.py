@@ -7,11 +7,12 @@ invariant-violating configuration cannot mask the seeds after it, and the
 failing seed is known exactly. The binary derives the whole configuration
 (topology, workload, fault plan, scheduler, thread count) from the seed, runs
 it with the invariant auditor armed, and cross-checks serial sharding against
-parallel plus the full engine matrix — grouped-vs-reference EPS rates,
-incremental-vs-reference scheduler decisions, offer-queue-vs-scan dispatch
-(alone and stacked on the all-reference configuration), and all references
-together — bit for bit, so every seed exercises the rate, scheduler, and
-dispatch engine axes (DESIGN.md sections 9-11).
+parallel plus every fast path against its test-side oracle (tests/oracles/)
+bit for bit: each EPS replan against per-flow progressive filling, the
+incremental Co-scheduler against ReferenceCoScheduler, and offer-queue
+dispatch against the all-racks scan (alone and stacked on the reference
+scheduler) — so every seed exercises the rate, scheduler, and dispatch
+axes (DESIGN.md sections 9-11).
 
 On failure the full test output — including the auditor's structured dump and
 the seed recipe line — is appended to --report (default fuzz_failures.txt) so
@@ -52,7 +53,7 @@ def main():
                          "(default)")
     ap.add_argument("--no-cross-dispatch", dest="cross_dispatch",
                     action="store_false",
-                    help="skip the dispatch-engine crossing (faster triage "
+                    help="skip the dispatch crossing (faster triage "
                          "when a failure is known to be elsewhere)")
     ap.add_argument("--report", default="fuzz_failures.txt",
                     help="file collecting failing seeds and their dumps")
