@@ -66,15 +66,16 @@ void InvariantAuditor::fail(const std::string& check,
     if (!ledger.flow->completed()) ++incomplete;
   }
   os << "injected: " << injected_bits_ << " (phantom: " << phantom_bits_
-     << ")\n";
+     << ", retired with their jobs: " << retired_bits_ << ")\n";
   os << "drained: eps=" << net_.eps().eps_bits()
      << " local=" << net_.eps().local_bits()
      << " ocs=" << net_.ocs_bits_transferred() << "\n";
   os << "in-flight (tracked remainder): " << in_flight << "\n";
   os << "uncredited fabric settle: " << fabric_.uncredited_settled_bits()
      << "\n";
-  os << "tracked flows: " << flows_.size() << " (" << incomplete
-     << " incomplete, " << completed_flow_events_ << " completion events)\n";
+  os << "live flows: " << flows_.size() << " (" << incomplete
+     << " incomplete, " << retired_flows_ << " retired, "
+     << completed_flow_events_ << " completion events)\n";
   os << "running tasks: " << running_tasks_.size()
      << ", outage depth: " << outage_depth_ << "\n";
   os << "===";
@@ -201,7 +202,7 @@ void InvariantAuditor::on_flow_routed(const Job& job, const Flow& flow) {
     // killed reduce's re-placement re-fetching map output. The coflow's
     // measured CCT window is closed, so its final matrix now carries more
     // work than the window did — invariant 7 must skip this job.
-    reopened_after_complete_.insert(job.id());
+    if (reopened_after_complete_.insert(job.id()).second) ++reopened_coflows_;
   }
   FlowLedger& ledger = flows_[flow.id()];
   ledger.flow = &flow;
@@ -316,6 +317,23 @@ void InvariantAuditor::on_job_finished(const Job& job) {
       }
     }
   }
+  // Retire the job's ledger: its flows are drained (checked above), so they
+  // leave the in-flight sum unchanged and only their injected bits remain
+  // to account for.
+  for (const auto& f : job.coflow().flows()) {
+    auto fit = flows_.find(f->id());
+    if (fit == flows_.end()) {
+      std::ostringstream os;
+      os << "job " << job.id() << " flow " << f->id()
+         << " finished without ever being routed";
+      fail("flow-routing", os.str());
+    }
+    retired_bits_ += fit->second.injected_bits;
+    ++retired_flows_;
+    flows_.erase(fit);
+  }
+  job_injected_bits_.erase(job.id());
+  reopened_after_complete_.erase(job.id());
   check_heavy();
 }
 
@@ -387,8 +405,21 @@ void InvariantAuditor::check_conservation() const {
   const double drained = net_.eps().eps_bits() + net_.eps().local_bits() +
                          net_.ocs_bits_transferred();
   double in_flight = 0.0;
+  double live_injected = 0.0;
   for (const auto& [id, ledger] : flows_) {
     in_flight += ledger.flow->remaining_bits();
+    live_injected += ledger.injected_bits;
+  }
+  // The ledger itself must close: every injected bit sits in a live
+  // flow's entry or in the retired total. Exact unless a sum exceeds 2^53.
+  const double ledger_slack = kRelativeSlack * std::max(injected_bits_, 1.0);
+  if (std::abs(live_injected + retired_bits_ - injected_bits_) >
+      ledger_slack) {
+    std::ostringstream os;
+    os << std::setprecision(17);
+    os << "ledger holds " << live_injected << " live + " << retired_bits_
+       << " retired bits but " << injected_bits_ << " were injected";
+    fail("byte-conservation", os.str());
   }
   const double actual =
       drained + in_flight + fabric_.uncredited_settled_bits();
@@ -442,6 +473,17 @@ void InvariantAuditor::check_offer_queue(const std::string& report) {
   if (!report.empty()) fail("offer-queue-coherence", report);
 }
 
+void InvariantAuditor::check_job_retention(std::size_t retained_jobs,
+                                           std::size_t active_jobs) {
+  ++checks_run_;
+  if (retained_jobs != active_jobs) {
+    std::ostringstream os;
+    os << "driver retains " << retained_jobs << " jobs but " << active_jobs
+       << " are active";
+    fail("job-retention", os.str());
+  }
+}
+
 void InvariantAuditor::final_check() {
   check_heavy();
   if (!running_tasks_.empty()) {
@@ -449,14 +491,14 @@ void InvariantAuditor::final_check() {
     os << running_tasks_.size() << " tasks still hold containers at end of run";
     fail("container-ledger", os.str());
   }
+  // Every job finished, so every flow was retired with its job; a live
+  // entry left here never drained or belongs to a job that never finished.
   for (const auto& [id, ledger] : flows_) {
-    if (!ledger.flow->completed() || ledger.flow->remaining_bits() != 0.0) {
-      std::ostringstream os;
-      os << "flow " << id << " (job " << ledger.job
-         << ") never drained: " << ledger.flow->remaining_bits()
-         << " bits remaining";
-      fail("byte-conservation", os.str());
-    }
+    std::ostringstream os;
+    os << "flow " << id << " (job " << ledger.job
+       << ") outlived the run: " << ledger.flow->remaining_bits()
+       << " bits remaining";
+    fail("byte-conservation", os.str());
   }
   if (fabric_.active_transfers() != 0 || fabric_.pending_flows() != 0 ||
       net_.eps().active_flows() != 0) {
@@ -465,6 +507,14 @@ void InvariantAuditor::final_check() {
        << " circuit transfers, " << fabric_.pending_flows() << " queued, "
        << net_.eps().active_flows() << " EPS flows";
     fail("byte-conservation", os.str());
+  }
+  // Every job was retired, and retirement drops the fabric's coflow
+  // entries, so an entry left here points into a freed job.
+  if (fabric_.active_coflows() != 0) {
+    std::ostringstream os;
+    os << fabric_.active_coflows()
+       << " coflow entries outlived their jobs in the fabric";
+    fail("job-retention", os.str());
   }
 }
 

@@ -21,7 +21,11 @@
 //      OCS accounting plus bits still in flight, up to the documented
 //      sub-residual completion slack. Checked per job at finish (all of the
 //      job's flows complete with zero remainder) and globally at job
-//      finish, outage edges, and end of run.
+//      finish, outage edges, and end of run. A finished job's flows are
+//      then folded into a retired-bits total and dropped from the ledger,
+//      so the ledger — and every sweep over it — covers live jobs only;
+//      the per-flow ledgers plus the retired total must still add up to
+//      everything injected.
 //   2. Container ledger — per rack, auditor-counted grants == cluster
 //      used_slots and granted + free == capacity; a task never runs
 //      without a grant and never holds two. Checked at every grant,
@@ -55,6 +59,10 @@
 //      (jittered setups can undercut the base delay the bound charges),
 //      and skipped for coflows reopened after completion (a killed
 //      reduce's re-fetch lands outside the measured CCT window).
+//   8. Job retention — the driver holds exactly its active jobs: a
+//      finished job is freed at completion, never kept to the end of the
+//      run. Checked at dispatch boundaries; at end of run the fabric must
+//      hold no coflow entry either.
 #pragma once
 
 #include <cstdint>
@@ -114,7 +122,8 @@ class InvariantAuditor {
   void on_outage_begin();
   void on_outage_end();
   /// A job completed: per-job conservation, the CCT-lower-bound check for
-  /// pure-OCS coflows, plus a global heavy check.
+  /// pure-OCS coflows, then the job's ledger entries are retired (the
+  /// driver frees the job next) and a global heavy check runs.
   void on_job_finished(const Job& job);
 
   /// Arm or disarm invariant 7 (default off — the driver arms it unless
@@ -139,8 +148,10 @@ class InvariantAuditor {
   /// self-report (free-set vs cluster free_slots, decline-stamp sanity) so
   /// the audit library stays independent of sim headers. Empty = coherent.
   void check_offer_queue(const std::string& report);
+  /// Invariant 8: the driver retains exactly its active jobs.
+  void check_job_retention(std::size_t retained_jobs, std::size_t active_jobs);
   /// End-of-run: heavy check plus emptiness — no granted containers, no
-  /// incomplete tracked flow, no un-drained bits.
+  /// live ledger entry, no un-drained bits, no fabric coflow entry.
   void final_check();
 
   // ----- test hooks --------------------------------------------------------
@@ -150,7 +161,17 @@ class InvariantAuditor {
   void debug_inject_phantom_bits(double bits) { phantom_bits_ += bits; }
 
   [[nodiscard]] std::int64_t checks_run() const { return checks_run_; }
-  [[nodiscard]] std::size_t tracked_flows() const { return flows_.size(); }
+  /// Flows ever routed: the live ledger plus the retired ones.
+  [[nodiscard]] std::size_t tracked_flows() const {
+    return flows_.size() + retired_flows_;
+  }
+  /// Ledger entries of flows whose job has not finished yet.
+  [[nodiscard]] std::size_t live_flows() const { return flows_.size(); }
+  /// Coflows that received demand after completing (a killed reduce's
+  /// re-fetch), over the whole run.
+  [[nodiscard]] std::int64_t reopened_coflows() const {
+    return reopened_coflows_;
+  }
 
  private:
   struct FlowLedger {
@@ -176,10 +197,13 @@ class InvariantAuditor {
   std::vector<std::int64_t> granted_;
   std::unordered_map<TaskId, RackId> running_tasks_;
 
-  // Shadow byte ledger.
+  // Shadow byte ledger. `flows_` and `job_injected_bits_` hold live jobs
+  // only; a finished job's flows move into `retired_bits_`.
   std::unordered_map<FlowId, FlowLedger> flows_;
   std::unordered_map<JobId, double> job_injected_bits_;
   double injected_bits_ = 0.0;
+  double retired_bits_ = 0.0;
+  std::size_t retired_flows_ = 0;
   double phantom_bits_ = 0.0;
   std::int64_t completed_flow_events_ = 0;
 
@@ -190,7 +214,9 @@ class InvariantAuditor {
   /// re-placement re-fetches map output after the measured CCT window
   /// closed, so the final matrix holds more work than the window carried
   /// and the lower-bound comparison (invariant 7) is no longer meaningful.
+  /// Live jobs only, like the byte ledger.
   std::unordered_set<JobId> reopened_after_complete_;
+  std::int64_t reopened_coflows_ = 0;
 };
 
 }  // namespace cosched

@@ -1,14 +1,16 @@
 #include "cluster/job.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 
 namespace cosched {
 
-Job::Job(const JobSpec& spec, DataSize elephant_threshold,
+Job::Job(JobSpec spec, DataSize elephant_threshold,
          IdAllocator<TaskId>& task_ids, CoflowId coflow_id)
-    : spec_(spec), shuffle_heavy_(spec.shuffle_heavy(elephant_threshold)) {
+    : spec_(std::move(spec)),
+      shuffle_heavy_(spec_.shuffle_heavy(elephant_threshold)) {
   spec_.validate();
   maps_.reserve(static_cast<std::size_t>(spec_.num_maps));
   for (std::int32_t i = 0; i < spec_.num_maps; ++i) {

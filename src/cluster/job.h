@@ -18,8 +18,8 @@ namespace cosched {
 
 class Job {
  public:
-  Job(const JobSpec& spec, DataSize elephant_threshold,
-      IdAllocator<TaskId>& task_ids, CoflowId coflow_id);
+  Job(JobSpec spec, DataSize elephant_threshold, IdAllocator<TaskId>& task_ids,
+      CoflowId coflow_id);
 
   Job(const Job&) = delete;
   Job& operator=(const Job&) = delete;

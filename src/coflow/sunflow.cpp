@@ -148,6 +148,15 @@ std::vector<Flow*> SunflowScheduler::evict_plane(std::int32_t plane) {
   return evicted;
 }
 
+void SunflowScheduler::retire_coflow(CoflowId id) {
+  auto it = entries_.find(id);
+  if (it == entries_.end()) return;
+  COSCHED_CHECK_MSG(it->second.pending.empty(),
+                    "coflow " << id << " retired with queued flows");
+  order_.erase(std::remove(order_.begin(), order_.end(), id), order_.end());
+  entries_.erase(it);
+}
+
 void SunflowScheduler::request_allocation_pass() {
   if (pass_scheduled_) return;
   pass_scheduled_ = true;
@@ -309,9 +318,8 @@ void SunflowScheduler::on_transfer_complete(FlowId id) {
   // transfer in size(), and crediting the full size again would double-
   // count it. Integer DataSize arithmetic, so the common single-completion
   // case credits exactly size() as before.
-  DataSize& credited = credited_[id];
-  fabric_.credit_bytes(flow.size() - credited);
-  credited = flow.size();
+  fabric_.credit_bytes(flow.size() - flow.circuit_credited());
+  flow.set_circuit_credited(flow.size());
   uncredited_settled_bits_ -= it->second.settled_bits;
   flow.mark_completed(sim_.now());
   active_.erase(it);

@@ -67,6 +67,14 @@ class SunflowScheduler : public CircuitScheduler {
   /// planes can still serve them.
   [[nodiscard]] std::vector<Flow*> evict_plane(std::int32_t plane);
 
+  /// The coflow's job finished and is about to be freed: drop its entry.
+  /// Every flow of the coflow has completed, so only a *husk* can be left —
+  /// an entry whose last circuit transfer finished while a flow of the
+  /// same coflow was still on the EPS. Husks are kept until now because
+  /// a container-kill re-fetch can reopen the coflow, and the reopened
+  /// flows must rejoin it at its original priority.
+  void retire_coflow(CoflowId id);
+
   /// Re-run the allocation pass (a downed plane came back).
   void kick() { request_allocation_pass(); }
 
@@ -129,11 +137,6 @@ class SunflowScheduler : public CircuitScheduler {
   /// Coflow ids in priority order (priority, id) — deterministic.
   std::vector<CoflowId> order_;
   std::map<FlowId, ActiveTransfer> active_;
-  /// Circuit bytes already credited per flow, so a flow that completes,
-  /// gets reopened by late demand, and rides the fabric again credits only
-  /// the delta on its second completion instead of double-counting the
-  /// first transfer (the size is cumulative).
-  std::map<FlowId, DataSize> credited_;
   double uncredited_settled_bits_ = 0.0;
   bool pass_scheduled_ = false;
   Observability* obs_ = nullptr;

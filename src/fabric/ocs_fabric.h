@@ -37,6 +37,9 @@ class OcsFabric final : public Fabric {
     sunflow_.submit(coflow, flow);
   }
   void demand_added(Flow& flow) override { sunflow_.demand_added(flow); }
+  void retire_coflow(const Coflow& coflow) override {
+    sunflow_.retire_coflow(coflow.id());
+  }
   [[nodiscard]] std::vector<Flow*> evict_all() override {
     return sunflow_.evict_all();
   }

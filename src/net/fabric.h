@@ -121,6 +121,11 @@ class Fabric {
   virtual void submit(Coflow& coflow, Flow& flow) = 0;
   /// The demand of an already-submitted flow grew.
   virtual void demand_added(Flow& flow) = 0;
+  /// `coflow`'s job finished and is about to be freed, together with its
+  /// flows (all completed): drop every pointer to them. The default has
+  /// nothing to drop — a fabric that holds only incomplete flows (rotor,
+  /// mesh, ring) already let go of each flow when it drained.
+  virtual void retire_coflow(const Coflow& coflow) { (void)coflow; }
   /// Whole-fabric outage: abort every queued and in-flight transfer,
   /// crediting partially-drained bits. Returned flows are incomplete and
   /// unrouted as far as the fabric is concerned; the caller re-routes them

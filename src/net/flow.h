@@ -114,6 +114,11 @@ class Flow {
     return planned_completion_;
   }
   void set_planned_completion(SimTime t) { planned_completion_ = t; }
+  /// Bytes a circuit fabric has already credited for this flow (fabric
+  /// bookkeeping): a flow reopened by late demand after completing credits
+  /// only the delta on its next completion.
+  [[nodiscard]] DataSize circuit_credited() const { return circuit_credited_; }
+  void set_circuit_credited(DataSize bytes) { circuit_credited_ = bytes; }
 
  private:
   FlowId id_;
@@ -131,6 +136,7 @@ class Flow {
   Bandwidth rate_ = Bandwidth::zero();
   EventHandle completion_event_;
   SimTime planned_completion_ = SimTime::infinity();
+  DataSize circuit_credited_ = DataSize::zero();
 };
 
 }  // namespace cosched

@@ -1,5 +1,8 @@
 #include "sched/delay.h"
 
+#include <algorithm>
+#include <sstream>
+
 #include "obs/perf_monitor.h"
 #include "sched/fairness.h"
 
@@ -8,7 +11,6 @@ namespace cosched {
 void DelayScheduler::on_job_submitted(Job& job, SchedContext& ctx) {
   job.set_block_placement(place_blocks_random(
       job.spec().num_maps, ctx.topo.num_racks, opts_.replication, ctx.rng));
-  skips_.erase(job.id());
 }
 
 std::optional<TaskChoice> DelayScheduler::pick_task(RackId rack,
@@ -40,6 +42,22 @@ std::optional<TaskChoice> DelayScheduler::pick_task(RackId rack,
     }
   }
   return std::nullopt;
+}
+
+std::string DelayScheduler::audit_invariants(
+    const std::vector<Job*>& active_jobs) const {
+  for (const auto& [id, skips] : skips_) {
+    const bool active =
+        std::any_of(active_jobs.begin(), active_jobs.end(),
+                    [id = id](const Job* job) { return job->id() == id; });
+    if (!active) {
+      std::ostringstream os;
+      os << "delay: skip counter (" << skips << ") kept for job " << id
+         << ", which is not active";
+      return os.str();
+    }
+  }
+  return {};
 }
 
 }  // namespace cosched

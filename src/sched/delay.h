@@ -31,10 +31,14 @@ class DelayScheduler : public JobScheduler {
 
   void on_job_submitted(Job& job, SchedContext& ctx) override;
   std::optional<TaskChoice> pick_task(RackId rack, SchedContext& ctx) override;
+  void on_job_completed(Job& job) override { skips_.erase(job.id()); }
+  /// Every skip counter belongs to an active job.
+  [[nodiscard]] std::string audit_invariants(
+      const std::vector<Job*>& active_jobs) const override;
 
  private:
   Options opts_;
-  /// Consecutive offers each job declined for lack of locality.
+  /// Consecutive offers each active job declined for lack of locality.
   std::map<JobId, std::int32_t> skips_;
 };
 

@@ -65,6 +65,8 @@ void SimulationDriver::register_counters() {
   });
   c.add_gauge("jobs.active",
               [this] { return static_cast<double>(active_jobs_.size()); });
+  c.add_gauge("jobs.retained",
+              [this] { return static_cast<double>(live_jobs_.size()); });
   c.add_gauge("tasks.pending",
               [this] { return static_cast<double>(pending_tasks_); });
   const double total_slots = static_cast<double>(
@@ -136,6 +138,7 @@ RunMetrics SimulationDriver::run() {
                                        cfg_.heartbeat_sec));
   }
 
+  records_.resize(workload_.size());
   for (std::size_t i = 0; i < workload_.size(); ++i) {
     sim_.schedule_at(workload_[i].arrival, [this, i] { on_job_arrival(i); });
   }
@@ -175,47 +178,7 @@ RunMetrics SimulationDriver::run() {
   COSCHED_CHECK_MSG(cluster_.total_free_slots() ==
                         cfg_.topo.num_racks * cfg_.topo.slots_per_rack(),
                     "containers leaked at end of run");
-  m.jobs.reserve(jobs_.size());
-  for (const auto& job : jobs_) {
-    JobRecord rec;
-    rec.id = job->id();
-    rec.user = job->spec().user;
-    rec.shuffle_heavy = job->shuffle_heavy();
-    rec.has_shuffle = job->has_shuffle();
-    rec.arrival = job->spec().arrival;
-    rec.completion = job->completion_time();
-    rec.jct = job->completion_time() - job->spec().arrival;
-    if (rec.has_shuffle) {
-      COSCHED_CHECK(job->coflow().completed());
-      rec.cct = job->coflow().cct();
-      rec.shuffle_bytes = job->coflow().total_demand();
-      // The *fabric's* bound, always (regardless of the planner's
-      // cct_bound escape hatch): on mesh/ring/rotor the old ocs_link/
-      // reconfig_delay formula reported a bound for a fabric the run
-      // never used (docs/FABRICS.md, "The bound contract").
-      rec.cct_lower_bound =
-          net_.fabric().cct_lower_bound(job->coflow().cross_rack_matrix());
-      rec.all_flows_ocs = true;
-      for (const auto& f : job->coflow().flows()) {
-        // Same-rack flows never enter the cross-rack matrix the bound is
-        // computed over; only an EPS detour can invalidate the bound.
-        if (f->path() == FlowPath::kLocal) continue;
-        if (f->path() != FlowPath::kOcs) rec.all_flows_ocs = false;
-      }
-    }
-    for (const auto& [rack, output] : job->map_output_by_rack()) {
-      rec.map_output_bytes += output;
-    }
-    for (const Task& t : job->maps()) {
-      rec.last_map_completion =
-          std::max(rec.last_map_completion, t.completed_at());
-    }
-    for (const Task& t : job->reduces()) {
-      rec.first_reduce_placement =
-          std::min(rec.first_reduce_placement, t.placed_at());
-    }
-    m.jobs.push_back(rec);
-  }
+  m.jobs = std::move(records_);
   return m;
 }
 
@@ -267,6 +230,7 @@ void SimulationDriver::emit_heartbeat() {
        << wall_sec << "s sim=" << sim_.now().sec() << "s events=" << events
        << " ev/s=" << std::setprecision(0) << ev_per_sec
        << " jobs=" << jobs_completed_ << "/" << workload_.size()
+       << " live_jobs=" << live_jobs_.size()
        << " rss_hwm_mb=" << rss_high_water_bytes() / (1024 * 1024) << "\n";
   std::ostream& os =
       cfg_.heartbeat_out != nullptr ? *cfg_.heartbeat_out : std::cerr;
@@ -279,14 +243,19 @@ void SimulationDriver::emit_heartbeat() {
 }
 
 void SimulationDriver::on_job_arrival(std::size_t workload_index) {
-  const JobSpec& spec = workload_[workload_index];
-  jobs_.push_back(std::make_unique<Job>(spec, cfg_.topo.elephant_threshold,
-                                        task_ids_,
-                                        CoflowId{spec.id.value()}));
-  Job* job = jobs_.back().get();
-  job_by_id_[job->id()] = job;
+  // The job takes its spec over: the workload keeps no per-task data for
+  // jobs that have arrived.
+  JobSpec& spec = workload_[workload_index];
+  const JobId id = spec.id;
+  auto owned = std::make_unique<Job>(std::move(spec),
+                                     cfg_.topo.elephant_threshold, task_ids_,
+                                     CoflowId{id.value()});
+  Job* job = owned.get();
+  const bool inserted =
+      live_jobs_.emplace(id, LiveJob{std::move(owned), jobs_arrived_++}).second;
+  COSCHED_CHECK_MSG(inserted, "job " << id << " arrived twice");
   active_jobs_.push_back(job);
-  pending_tasks_ += spec.num_maps + spec.num_reduces;
+  pending_tasks_ += job->spec().num_maps + job->spec().num_reduces;
 
   if (cfg_.obs != nullptr) {
     cfg_.obs->trace.record({.kind = TraceEventKind::kJobArrival,
@@ -375,6 +344,7 @@ void SimulationDriver::finish_dispatch_wave(bool placed_any) {
     audit_->check_light();
     audit_->check_scheduler(*scheduler_, active_jobs_);
     audit_->check_offer_queue(offers_.audit(cluster_));
+    audit_->check_job_retention(live_jobs_.size(), active_jobs_.size());
   }
 
   // A scheduler may decline offers it could accept later without any
@@ -612,7 +582,7 @@ void SimulationDriver::on_flow_complete(Flow& flow) {
                             .dst = flow.dst(),
                             .a = static_cast<std::int64_t>(flow.path())});
   }
-  Job* job = job_by_id_.at(flow.job());
+  Job* job = live_jobs_.at(flow.job()).job.get();
   if (job->all_maps_done() && job->all_reduces_placed() &&
       job->coflow().all_flows_complete() && !job->coflow().completed()) {
     job->coflow().mark_completed(sim_.now());
@@ -845,6 +815,57 @@ void SimulationDriver::finish_job(Job& job) {
   active_jobs_.erase(it);
   scheduler_->on_job_completed(job);
   note_sched_state_changed();
+
+  // The auditor already insists on this; freeing the flows makes it a hard
+  // precondition in every build, since a fabric still holding one would
+  // hold a dangling pointer.
+  COSCHED_CHECK_MSG(job.coflow().all_flows_complete(),
+                    "job " << job.id() << " finished with shuffle in flight");
+  auto live = live_jobs_.find(job.id());
+  COSCHED_CHECK(live != live_jobs_.end());
+  records_[live->second.slot] = make_record(job);
+  net_.fabric().retire_coflow(job.coflow());
+  live_jobs_.erase(live);  // frees `job`
+}
+
+JobRecord SimulationDriver::make_record(const Job& job) const {
+  JobRecord rec;
+  rec.id = job.id();
+  rec.user = job.spec().user;
+  rec.shuffle_heavy = job.shuffle_heavy();
+  rec.has_shuffle = job.has_shuffle();
+  rec.arrival = job.spec().arrival;
+  rec.completion = job.completion_time();
+  rec.jct = job.completion_time() - job.spec().arrival;
+  if (rec.has_shuffle) {
+    COSCHED_CHECK(job.coflow().completed());
+    rec.cct = job.coflow().cct();
+    rec.shuffle_bytes = job.coflow().total_demand();
+    // The *fabric's* bound: on mesh/ring/rotor the old ocs_link/
+    // reconfig_delay formula reported a bound for a fabric the run never
+    // used (docs/FABRICS.md, "The bound contract").
+    rec.cct_lower_bound =
+        net_.fabric().cct_lower_bound(job.coflow().cross_rack_matrix());
+    rec.all_flows_ocs = true;
+    for (const auto& f : job.coflow().flows()) {
+      // Same-rack flows never enter the cross-rack matrix the bound is
+      // computed over; only an EPS detour can invalidate the bound.
+      if (f->path() == FlowPath::kLocal) continue;
+      if (f->path() != FlowPath::kOcs) rec.all_flows_ocs = false;
+    }
+  }
+  for (const auto& [rack, output] : job.map_output_by_rack()) {
+    rec.map_output_bytes += output;
+  }
+  for (const Task& t : job.maps()) {
+    rec.last_map_completion =
+        std::max(rec.last_map_completion, t.completed_at());
+  }
+  for (const Task& t : job.reduces()) {
+    rec.first_reduce_placement =
+        std::min(rec.first_reduce_placement, t.placed_at());
+  }
+  return rec;
 }
 
 bool SimulationDriver::break_deadlock() {
@@ -902,7 +923,7 @@ Duration SimulationDriver::estimate_availability(RackId rack,
       // A reduce still fetching: remaining = slowest incoming flow at an
       // optimistic rate plus the compute phase, all through the same
       // error model.
-      const Job* job = job_by_id_.at(t->job());
+      const Job* job = live_jobs_.at(t->job()).job.get();
       double fetch_sec = 0.0;
       for (const auto& f : job->coflow().flows()) {
         if (f->dst() != rack || f->completed()) continue;

@@ -186,7 +186,11 @@ class SimulationDriver : public AvailabilityOracle {
 
   [[nodiscard]] bool rack_fetch_done(const Job& job, RackId rack) const;
   void try_start_reduce_computes(Job& job, RackId rack);
+  /// The job's last task completed: write its JobRecord into its arrival
+  /// slot, detach it from the scheduler, fabric and auditor, and free it
+  /// with its tasks, coflow and flows. Nothing refers to it afterwards.
   void finish_job(Job& job);
+  [[nodiscard]] JobRecord make_record(const Job& job) const;
   void remove_running(RackId rack, Task& task);
 
   SimConfig cfg_;
@@ -206,9 +210,21 @@ class SimulationDriver : public AvailabilityOracle {
   IdAllocator<TaskId> task_ids_;
   IdAllocator<FlowId> flow_ids_;
 
-  std::vector<std::unique_ptr<Job>> jobs_;
-  std::unordered_map<JobId, Job*> job_by_id_;
+  /// An arrived, unfinished job and the RunMetrics::jobs slot its record
+  /// goes to (its arrival ordinal, so records keep arrival order however
+  /// jobs complete).
+  struct LiveJob {
+    std::unique_ptr<Job> job;
+    std::size_t slot = 0;
+  };
+  /// Owns every live job; finish_job frees it. Memory follows the number
+  /// of active jobs, not the trace length.
+  std::unordered_map<JobId, LiveJob> live_jobs_;
+  /// The same jobs in arrival order — the order dispatch offers them in.
   std::vector<Job*> active_jobs_;
+  /// One record per workload job, indexed by arrival ordinal.
+  std::vector<JobRecord> records_;
+  std::size_t jobs_arrived_ = 0;
 
   std::vector<std::vector<Task*>> running_by_rack_;
   std::unordered_set<FlowId> flows_in_fabric_;

@@ -1,15 +1,23 @@
 // Driver-level tests: remote-read penalties, availability estimation,
-// per-path byte accounting, heartbeat retry, deadlock recovery, and reduce
-// demand materialization — exercised through small crafted scenarios.
+// per-path byte accounting, heartbeat retry, deadlock recovery, reduce
+// demand materialization, and job retention (a finished job is freed at
+// completion, its record kept in arrival order) — exercised through small
+// crafted scenarios and audited generated workloads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <optional>
+#include <string>
 
+#include "faults/fault_spec.h"
+#include "obs/observability.h"
 #include "sched/coscheduler.h"
 #include "sched/delay.h"
 #include "sched/fair.h"
 #include "sched/fairness.h"
 #include "sim/driver.h"
+#include "sim/experiment.h"
 
 namespace cosched {
 namespace {
@@ -199,6 +207,155 @@ TEST(Driver, EventsExecutedReported) {
   SimulationDriver driver(cfg, jobs, std::make_unique<FairScheduler>());
   const RunMetrics m = driver.run();
   EXPECT_GT(m.events_executed, 0u);
+}
+
+TEST(Driver, RecordsStayInArrivalOrderWhenJobsCompleteOutOfOrder) {
+  // Job 7 arrives first and runs longest; job 3 arrives second and
+  // finishes first; job 5 is listed first in the workload but arrives
+  // last. Records follow arrival order, not completion or listing order.
+  SimConfig cfg;
+  cfg.topo = mini_topo();
+  cfg.audit = true;
+  std::vector<JobSpec> jobs{simple_job(5, 2, 1, 1.0, 1.0, 4, 2),
+                            simple_job(7, 4, 2, 4.0, 1.0, 60, 30),
+                            simple_job(3, 2, 1, 1.0, 1.0, 2, 1)};
+  jobs[0].arrival = SimTime::seconds(9);
+  jobs[1].arrival = SimTime::seconds(0);
+  jobs[2].arrival = SimTime::seconds(1);
+  SimulationDriver driver(cfg, jobs, std::make_unique<FairScheduler>());
+  const RunMetrics m = driver.run();
+  ASSERT_EQ(m.jobs.size(), 3u);
+  EXPECT_EQ(m.jobs[0].id, JobId{7});
+  EXPECT_EQ(m.jobs[1].id, JobId{3});
+  EXPECT_EQ(m.jobs[2].id, JobId{5});
+  EXPECT_LT(m.jobs[1].completion, m.jobs[0].completion);
+  EXPECT_LT(m.jobs[2].completion, m.jobs[0].completion);
+  for (const JobRecord& r : m.jobs) {
+    EXPECT_EQ(r.jct, r.completion - r.arrival);
+  }
+}
+
+TEST(Driver, DelaySchedulerForgetsSkipCountersOfFinishedJobs) {
+  // Enough contention that jobs skip offers while waiting for locality;
+  // every counter must leave with its job.
+  ExperimentConfig cfg;
+  cfg.sim.topo = mini_topo(8, 2, 4);
+  cfg.sim.audit = true;  // audits the counters at every dispatch wave
+  cfg.workload.num_jobs = 12;
+  cfg.workload.num_users = 3;
+  cfg.workload.arrival_window = Duration::minutes(1);
+  cfg.workload.max_maps = 30;
+  cfg.workload.max_reduces = 4;
+  cfg.base_seed = 5;
+  DelayScheduler* delay = nullptr;
+  const SchedulerFactory factory = [&delay] {
+    auto sched = std::make_unique<DelayScheduler>();
+    delay = sched.get();
+    return sched;
+  };
+  auto driver = make_driver(cfg, factory, 0);
+  const RunMetrics m = driver->run();
+  EXPECT_EQ(m.jobs.size(), 12u);
+  ASSERT_NE(delay, nullptr);
+  EXPECT_EQ(delay->audit_invariants({}), "");
+}
+
+// ---- job retention ---------------------------------------------------------
+
+/// A small audited cluster and workload (milliseconds per run) on `fabric`
+/// with fault plan `faults`.
+ExperimentConfig retention_config(const std::string& fabric,
+                                  const std::string& faults) {
+  ExperimentConfig cfg;
+  cfg.sim.topo.num_racks = 10;
+  cfg.sim.topo.servers_per_rack = 2;
+  cfg.sim.topo.slots_per_server = 10;
+  cfg.workload.num_jobs = 16;
+  cfg.workload.num_users = 4;
+  cfg.workload.arrival_window = Duration::minutes(3);
+  cfg.workload.max_maps = 50;
+  cfg.workload.max_reduces = 8;
+  cfg.workload.heavy_input_mu = 2.5;
+  cfg.workload.heavy_input_sigma = 0.8;
+  cfg.workload.max_input = DataSize::gigabytes(40);
+  cfg.repetitions = 1;
+  cfg.base_seed = 29;
+  cfg.sim.audit = true;
+  std::string error;
+  const std::optional<FabricSpec> spec = FabricSpec::parse(fabric, &error);
+  EXPECT_TRUE(spec.has_value()) << fabric << ": " << error;
+  cfg.sim.fabric = spec.value_or(FabricSpec{});
+  const std::optional<FaultPlan> plan = FaultPlan::parse(faults, &error);
+  EXPECT_TRUE(plan.has_value()) << faults << ": " << error;
+  cfg.sim.faults = plan.value_or(FaultPlan{});
+  return cfg;
+}
+
+/// Runs `sched` on `cfg` with counters attached. The auditor checks at
+/// every dispatch wave that the driver retains exactly its active jobs;
+/// this checks the same from outside, at every counter sample. Returns the
+/// coflows the run reopened after completion.
+std::int64_t expect_retains_only_active_jobs(ExperimentConfig cfg,
+                                             const std::string& sched) {
+  Observability obs;
+  cfg.sim.obs = &obs;
+  auto driver = make_driver(cfg, make_scheduler_factory(sched), 0);
+  const RunMetrics m = driver->run();
+  EXPECT_EQ(m.jobs.size(), static_cast<std::size_t>(cfg.workload.num_jobs))
+      << sched;
+
+  const std::vector<std::string>& names = obs.counters.names();
+  const auto column = [&](const std::string& name) {
+    return static_cast<std::size_t>(
+        std::find(names.begin(), names.end(), name) - names.begin());
+  };
+  const std::size_t retained = column("jobs.retained");
+  const std::size_t active = column("jobs.active");
+  EXPECT_LT(retained, names.size());
+  EXPECT_LT(active, names.size());
+  if (retained >= names.size() || active >= names.size()) return 0;
+  double peak = 0.0;
+  for (const std::vector<double>& row : obs.counters.rows()) {
+    EXPECT_EQ(row[retained], row[active]) << sched;
+    peak = std::max(peak, row[retained]);
+  }
+  EXPECT_GT(peak, 1.0) << sched;  // jobs did overlap
+  EXPECT_EQ(driver->auditor()->live_flows(), 0u) << sched;
+  EXPECT_GT(driver->auditor()->tracked_flows(), 0u) << sched;
+  return driver->auditor()->reopened_coflows();
+}
+
+constexpr const char* kSchedulers[] = {"fair", "corral", "coscheduler",
+                                       "mts+ocas", "ocas"};
+
+TEST(DriverRetention, SingleOcsRetainsOnlyActiveJobs) {
+  for (const char* sched : kSchedulers) {
+    (void)expect_retains_only_active_jobs(retention_config("ocs:1", ""),
+                                          sched);
+  }
+}
+
+TEST(DriverRetention, KCoreOcsWithKillsAndPlaneOutageRetainsOnlyActiveJobs) {
+  // Container kills re-fetch map output for re-placed reduces, reopening
+  // completed coflows; the plane outage evicts circuits onto the EPS and
+  // leaves Sunflow entries whose last circuit finished while an EPS flow
+  // was still running. Both must be let go of when the job finishes.
+  const ExperimentConfig cfg = retention_config(
+      "ocs:4",
+      "container-kill:p=0.2,ocs-outage:at=40s:dur=60s:plane=1,"
+      "ocs-outage:at=150s:dur=20s");
+  std::int64_t reopened = 0;
+  for (const char* sched : kSchedulers) {
+    reopened += expect_retains_only_active_jobs(cfg, sched);
+  }
+  EXPECT_GT(reopened, 0);
+}
+
+TEST(DriverRetention, RotorRetainsOnlyActiveJobs) {
+  for (const char* sched : kSchedulers) {
+    (void)expect_retains_only_active_jobs(
+        retention_config("rotor:100ms", ""), sched);
+  }
 }
 
 }  // namespace

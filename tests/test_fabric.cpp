@@ -193,6 +193,38 @@ TEST(OcsFabric, PlaneOutageEvictsOnlyThatPlane) {
   EXPECT_EQ(h.fabric->self_check(), "");
 }
 
+TEST(OcsFabric, RetireDropsAHuskAndReopenedFlowsCreditOnlyTheDelta) {
+  FabricHarness h("ocs:1");
+  Coflow& c = h.coflow(0);
+  h.demand(c, 0, 1, 1.25);
+  h.demand(c, 2, 3, 1.25);  // stands in for a flow still on the EPS
+  Flow& ocs = *c.flows()[0];
+  Flow& eps = *c.flows()[1];
+  c.mark_released(h.sim.now());
+  ocs.set_path(FlowPath::kOcs);
+  h.fabric->submit(c, ocs);
+  h.sim.run();
+  // The circuit transfer finished, the other flow did not: a husk.
+  ASSERT_TRUE(ocs.completed());
+  EXPECT_EQ(h.fabric->active_coflows(), 1u);
+  EXPECT_EQ(h.fabric->bytes_transferred(), DataSize::gigabytes(1.25));
+
+  // Late demand reopens the flow; it rejoins the coflow and its second
+  // completion credits only the new bytes.
+  ocs.add_demand(DataSize::gigabytes(1.25));
+  h.fabric->submit(c, ocs);
+  h.sim.run();
+  ASSERT_TRUE(ocs.completed());
+  EXPECT_EQ(h.fabric->bytes_transferred(), DataSize::gigabytes(2.5));
+  EXPECT_EQ(h.fabric->active_coflows(), 1u);
+
+  eps.mark_completed(h.sim.now());
+  h.fabric->retire_coflow(c);
+  EXPECT_EQ(h.fabric->active_coflows(), 0u);
+  EXPECT_EQ(h.fabric->pending_flows(), 0u);
+  EXPECT_EQ(h.fabric->self_check(), "");
+}
+
 // ---- rotor -----------------------------------------------------------------
 
 TEST(RotorFabric, FollowsTheSlotArithmetic) {
