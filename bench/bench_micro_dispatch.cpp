@@ -3,9 +3,9 @@
 //   * Synthetic wave pairs — one dispatch wave's rack iteration over a
 //     sparse free set, as the OfferQueue bitset walk vs an all-racks scan,
 //     at 60 / 256 / 1024 racks. Pure index cost, no simulation.
-//   * Full-run pairs — `driver.dispatch` *self time* (the profiler
-//     section, not whole-run wall) of a 10k-job coscheduler run with the
-//     offer queue's shortcuts vs the no-shortcut wave, at the paper's 60
+//   * Full-run pairs — `driver.dispatch` time (the PerfMonitor phase's
+//     inclusive total, not whole-run wall) of a 10k-job coscheduler run
+//     with the offer queue's shortcuts vs the no-shortcut wave, at the paper's 60
 //     racks and at 256. The no-shortcut side wraps the scheduler in the
 //     test-side ScanDispatchScheduler (tests/oracles/scan_dispatch.h): the
 //     driver then offers every free rack on every pass, as the removed
@@ -25,10 +25,9 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
-#include <cstring>
 #include <vector>
 
-#include "obs/profile.h"
+#include "obs/perf_monitor.h"
 #include "oracles/scan_dispatch.h"
 #include "sim/experiment.h"
 #include "sim/offer_queue.h"
@@ -110,9 +109,9 @@ ExperimentConfig dispatch_config(std::int32_t jobs, std::int32_t racks) {
 }
 
 /// One full run per iteration; the reported (manual) time is the
-/// `driver.dispatch` profiler section's total — the self time of the wave
-/// loop itself, scheduler pick_task cost included, event execution and
-/// flow bookkeeping excluded.
+/// `driver.dispatch` phase's inclusive total — the wave loop itself with
+/// the scheduler's pick_task cost and the nested timers' own overhead
+/// included, event execution and flow bookkeeping excluded.
 void run_and_report_dispatch_time(benchmark::State& state, bool scan) {
   const ExperimentConfig cfg =
       dispatch_config(static_cast<std::int32_t>(state.range(0)),
@@ -121,17 +120,15 @@ void run_and_report_dispatch_time(benchmark::State& state, bool scan) {
   const SchedulerFactory factory =
       scan ? scan_dispatch_factory(product) : product;
   for (auto _ : state) {
-    Profiler::set_enabled(true);
-    Profiler::instance().reset();
+    PerfMonitor::set_enabled(true);
+    PerfMonitor::instance().reset();
     benchmark::DoNotOptimize(run_once(cfg, factory, 0).events_executed);
-    double dispatch_ns = 0.0;
-    for (const auto& [name, section] : Profiler::instance().snapshot()) {
-      if (std::strcmp(name.c_str(), "driver.dispatch") == 0) {
-        dispatch_ns = static_cast<double>(section.total_ns);
-      }
-    }
-    Profiler::set_enabled(false);
-    state.SetIterationTime(dispatch_ns / 1e9);
+    const std::uint64_t dispatch_ns = PerfMonitor::instance()
+                                          .snapshot()
+                                          .phase(PerfPhase::kDriverDispatch)
+                                          .total_ns;
+    PerfMonitor::set_enabled(false);
+    state.SetIterationTime(static_cast<double>(dispatch_ns) / 1e9);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

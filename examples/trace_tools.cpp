@@ -15,19 +15,25 @@
 //   --decisions-out=<stem>  scheduler decision logs: <stem>.placements.csv,
 //                           <stem>.grants.csv, <stem>.circuits.csv
 //   --counter-interval=<s>  sim-seconds between counter samples (default 1)
-//   --profile               wall-clock profile of simulator hot paths
-//   --profile-out=<path>    write that profile to a file (implies --profile)
+//
+// Any of these attaches an observability bundle, and then the run is also
+// wall-clock monitored: the summary ends with the per-phase table
+// (inclusive and self time; see src/obs/perf_monitor.h).
+//
+// Numeric arguments are parsed strictly (src/common/parse.h): a malformed
+// job count, seed or interval is an error naming the argument, exit 2.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 
+#include "common/parse.h"
 #include "metrics/report.h"
 #include "obs/observability.h"
-#include "obs/profile.h"
 #include "sim/experiment.h"
 #include "workload/generator.h"
 #include "workload/trace_io.h"
@@ -39,9 +45,22 @@ namespace {
 int cmd_generate(int argc, char** argv) {
   const std::string path = argv[2];
   WorkloadConfig cfg;
-  cfg.num_jobs = argc > 3 ? std::atoi(argv[3]) : 1000;
-  const std::uint64_t seed = argc > 4 ? std::strtoull(argv[4], nullptr, 10)
-                                      : 42;
+  cfg.num_jobs = 1000;
+  if (argc > 3 && !parse_int32(argv[3], 1,
+                               std::numeric_limits<std::int32_t>::max(),
+                               &cfg.num_jobs)) {
+    std::fprintf(stderr,
+                 "error: num_jobs expects a positive integer, got '%s'\n",
+                 argv[3]);
+    return 2;
+  }
+  std::uint64_t seed = 42;
+  if (argc > 4 && !parse_uint64(argv[4], &seed)) {
+    std::fprintf(stderr,
+                 "error: seed expects a non-negative integer, got '%s'\n",
+                 argv[4]);
+    return 2;
+  }
   Rng rng(seed);
   const auto jobs = generate_workload(cfg, rng);
   write_trace_file(path, jobs);
@@ -74,16 +93,16 @@ struct ObsFlags {
   std::string trace_csv;
   std::string counters_out;
   std::string decisions_out;
-  std::string profile_out;
   double counter_interval_sec = 1.0;
-  bool profile = false;
   bool any() const {
     return !trace_out.empty() || !trace_csv.empty() ||
-           !counters_out.empty() || !decisions_out.empty() || profile;
+           !counters_out.empty() || !decisions_out.empty();
   }
 };
 
-bool parse_obs_flag(const std::string& arg, ObsFlags& flags) {
+/// Parse one replay flag into `flags`; on failure `*error` says why.
+bool parse_obs_flag(const std::string& arg, ObsFlags& flags,
+                    std::string* error) {
   auto value_of = [&](const char* prefix, std::string& out) {
     const std::size_t n = std::string(prefix).size();
     if (arg.rfind(prefix, 0) != 0) return false;
@@ -96,17 +115,16 @@ bool parse_obs_flag(const std::string& arg, ObsFlags& flags) {
   if (value_of("--counters-out=", flags.counters_out)) return true;
   if (value_of("--decisions-out=", flags.decisions_out)) return true;
   if (value_of("--counter-interval=", interval)) {
-    flags.counter_interval_sec = std::atof(interval.c_str());
+    if (!parse_double(interval.c_str(), 0.0, 1e9,
+                      &flags.counter_interval_sec) ||
+        flags.counter_interval_sec <= 0.0) {
+      *error = "--counter-interval expects sim-seconds > 0, got '" +
+               interval + "'";
+      return false;
+    }
     return true;
   }
-  if (value_of("--profile-out=", flags.profile_out)) {
-    flags.profile = true;  // a destination implies profiling
-    return true;
-  }
-  if (arg == "--profile") {
-    flags.profile = true;
-    return true;
-  }
+  *error = "unknown flag " + arg;
   return false;
 }
 
@@ -134,10 +152,7 @@ int cmd_replay(const char* path, const char* scheduler,
     obs->counters.set_interval(
         Duration::seconds(flags.counter_interval_sec));
     cfg.obs = obs.get();
-  }
-  if (flags.profile) {
-    Profiler::set_enabled(true);
-    Profiler::instance().reset();
+    PerfMonitor::set_enabled(true);  // fills obs->perf for the summary
   }
 
   SimulationDriver driver(cfg, std::move(jobs),
@@ -186,19 +201,6 @@ int cmd_replay(const char* path, const char* scheduler,
                  "circuit decisions");
     }
     print_obs_summary(std::cout, *obs);
-  } else if (flags.profile && flags.profile_out.empty()) {
-    Profiler::instance().write_summary(std::cout);
-  }
-  if (!flags.profile_out.empty()) {
-    write_file(flags.profile_out,
-               [&](std::ostream& os) {
-                 if (obs != nullptr && !obs->profile.empty()) {
-                   Profiler::write_sections(os, obs->profile);
-                 } else {
-                   Profiler::instance().write_summary(os);
-                 }
-               },
-               "wall-clock profile");
   }
   return 0;
 }
@@ -214,8 +216,9 @@ int main(int argc, char** argv) {
       ObsFlags flags;
       bool ok = true;
       for (int i = 4; i < argc; ++i) {
-        if (!parse_obs_flag(argv[i], flags)) {
-          std::fprintf(stderr, "error: unknown flag %s\n", argv[i]);
+        std::string error;
+        if (!parse_obs_flag(argv[i], flags, &error)) {
+          std::fprintf(stderr, "error: %s\n", error.c_str());
           ok = false;
         }
       }
@@ -232,8 +235,7 @@ int main(int argc, char** argv) {
                "  %s replay <path> <fair|corral|coscheduler|mts+ocas|ocas>\n"
                "     [--trace-out=f.json] [--trace-csv=f.csv]\n"
                "     [--counters-out=f.csv] [--decisions-out=stem]\n"
-               "     [--counter-interval=sec] [--profile] "
-               "[--profile-out=f.txt]\n",
+               "     [--counter-interval=sec]\n",
                argv[0], argv[0], argv[0]);
   return 2;
 }

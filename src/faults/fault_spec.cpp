@@ -1,8 +1,9 @@
 #include "faults/fault_spec.h"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
+
+#include "common/parse.h"
 
 namespace cosched {
 
@@ -23,19 +24,13 @@ std::vector<std::string> split(const std::string& s, char sep) {
   }
 }
 
-/// Strict double parse; an optional trailing 's' (seconds) is allowed when
-/// `allow_seconds_suffix` — everything else trailing is an error.
-bool parse_double(const std::string& s, bool allow_seconds_suffix,
-                  double* out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (errno == ERANGE || end == s.c_str()) return false;
-  if (*end == 's' && allow_seconds_suffix) ++end;
-  if (*end != '\0') return false;
-  *out = v;
-  return true;
+/// A finite decimal number, strictly parsed (common/parse.h: no leading
+/// space or '+', no inf/nan, no trailing junk). One trailing 's' (seconds)
+/// is stripped first when `allow_seconds_suffix`.
+bool parse_number(std::string s, bool allow_seconds_suffix, double* out) {
+  if (allow_seconds_suffix && !s.empty() && s.back() == 's') s.pop_back();
+  return parse_double(s.c_str(), std::numeric_limits<double>::lowest(),
+                      std::numeric_limits<double>::max(), out);
 }
 
 /// One `key=value` pair of a clause.
@@ -75,7 +70,7 @@ bool parse_clause(const std::string& clause, FaultPlan* plan,
       KeyValue kv;
       if (!parse_kv(parts[i], &kv, error, name)) return false;
       double v = 0.0;
-      if (!parse_double(kv.value, false, &v)) {
+      if (!parse_number(kv.value, false, &v)) {
         return fail(error, "straggler: bad number '" + kv.value + "'");
       }
       if (kv.key == "p") {
@@ -103,7 +98,7 @@ bool parse_clause(const std::string& clause, FaultPlan* plan,
       KeyValue kv;
       if (!parse_kv(parts[i], &kv, error, name)) return false;
       double v = 0.0;
-      if (!parse_double(kv.value, false, &v)) {
+      if (!parse_number(kv.value, false, &v)) {
         return fail(error, "container-kill: bad number '" + kv.value + "'");
       }
       if (kv.key == "p") {
@@ -130,21 +125,16 @@ bool parse_clause(const std::string& clause, FaultPlan* plan,
       if (!parse_kv(parts[i], &kv, error, name)) return false;
       if (kv.key == "plane") {
         // Plane indices are bare non-negative integers (no 's' suffix).
-        double p = 0.0;
-        const auto plane = [&]() -> std::int32_t {
-          if (!parse_double(kv.value, false, &p)) return -1;
-          const auto n = static_cast<std::int32_t>(p);
-          return (p >= 0.0 && static_cast<double>(n) == p) ? n : -1;
-        }();
-        if (plane < 0) {
+        if (!parse_int32(kv.value.c_str(), 0,
+                         std::numeric_limits<std::int32_t>::max(),
+                         &f.plane)) {
           return fail(error, "ocs-outage: plane must be a non-negative "
                              "integer, got '" + kv.value + "'");
         }
-        f.plane = plane;
         continue;
       }
       double v = 0.0;
-      if (!parse_double(kv.value, true, &v)) {
+      if (!parse_number(kv.value, true, &v)) {
         return fail(error, "ocs-outage: bad duration '" + kv.value + "'");
       }
       if (kv.key == "at") {
@@ -162,6 +152,9 @@ bool parse_clause(const std::string& clause, FaultPlan* plan,
     if (!have_at || !have_dur) {
       return fail(error, "ocs-outage requires at= and dur=");
     }
+    if (!(f.at + f.dur).is_finite()) {
+      return fail(error, "ocs-outage: at + dur overflows");
+    }
     plan->ocs_outages.push_back(f);
     return true;
   }
@@ -176,7 +169,7 @@ bool parse_clause(const std::string& clause, FaultPlan* plan,
       KeyValue kv;
       if (!parse_kv(parts[i], &kv, error, name)) return false;
       double v = 0.0;
-      if (!parse_double(kv.value, false, &v)) {
+      if (!parse_number(kv.value, false, &v)) {
         return fail(error, "reconfig-jitter: bad number '" + kv.value + "'");
       }
       if (kv.key == "pct") {
@@ -204,7 +197,7 @@ bool parse_clause(const std::string& clause, FaultPlan* plan,
       KeyValue kv;
       if (!parse_kv(parts[i], &kv, error, name)) return false;
       double v = 0.0;
-      if (!parse_double(kv.value, false, &v)) {
+      if (!parse_number(kv.value, false, &v)) {
         return fail(error, "trem-noise: bad number '" + kv.value + "'");
       }
       if (kv.key == "pct") {

@@ -27,9 +27,12 @@
 //                                  SimConfig::trem_error_rate; subsumes the
 //                                  Figure-7 knob)
 //
-// Durations accept an optional trailing 's'. The empty spec parses to the
-// empty plan, and an empty plan is guaranteed bit-for-bit identical to a
-// run without the faults layer at all (see docs/FAULTS.md).
+// Values are strict finite decimals (common/parse.h: no whitespace, no
+// '+', no inf/nan) and plane= is an integer; durations accept an optional
+// trailing 's'. A bad value fails the parse with an error naming its
+// clause. The empty spec parses to the empty plan, and an empty plan is
+// guaranteed bit-for-bit identical to a run without the faults layer at
+// all (see docs/FAULTS.md).
 #pragma once
 
 #include <cstdint>

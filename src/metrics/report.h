@@ -35,7 +35,8 @@ void write_job_timeline_csv(std::ostream& os, const RunMetrics& run);
 void print_summary(std::ostream& os, const RunMetrics& run);
 
 /// Trace-aware addendum: per-kind trace event counts, decision tallies,
-/// last counter samples, and the wall-clock profile when enabled.
+/// last counter samples, and the per-phase wall-clock table when the run
+/// was monitored.
 void print_obs_summary(std::ostream& os, const Observability& obs);
 
 }  // namespace cosched

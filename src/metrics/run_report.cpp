@@ -11,7 +11,7 @@ namespace cosched {
 
 namespace {
 
-// Minimal JSON emission. Strings here are scheduler/section/counter names
+// Minimal JSON emission. Strings here are scheduler/phase/counter names
 // ([a-z0-9_.+-]), but escape defensively anyway.
 void emit_string(std::ostream& os, const std::string& s) {
   os << '"';
@@ -75,7 +75,8 @@ void emit_phase(std::ostream& os, PerfPhase phase, const PerfPhaseStats& s) {
   os << "    {\"name\": ";
   emit_string(os, to_string(phase));
   os << ", \"calls\": " << s.calls << ", \"total_ns\": " << s.total_ns
-     << ", \"max_ns\": " << s.max_ns << ",\n";
+     << ", \"self_ns\": " << s.self_ns << ", \"max_ns\": " << s.max_ns
+     << ",\n";
   os << "     \"latency_ns\": {\"count\": " << s.latency.count()
      << ", \"min\": " << s.latency.min() << ", \"max\": " << s.latency.max()
      << ", \"mean\": ";
@@ -122,9 +123,7 @@ void emit_phase(std::ostream& os, PerfPhase phase, const PerfPhaseStats& s) {
 
 void write_run_report_json(
     std::ostream& os, const RunMetrics& run, const RunReportMeta& meta,
-    const PerfSnapshot* perf,
-    const std::vector<std::pair<std::string, Profiler::Section>>* profile,
-    const CounterRegistry* counters) {
+    const PerfSnapshot* perf, const CounterRegistry* counters) {
   os << "{\n";
   os << "  \"schema\": ";
   emit_string(os, kRunReportSchema);
@@ -193,22 +192,6 @@ void write_run_report_json(
     }
   }
   os << "},\n";
-
-  os << "  \"profile\": [";
-  if (profile != nullptr) {
-    bool first = true;
-    for (const auto& [name, s] : *profile) {
-      if (!first) os << ",\n";
-      if (first) os << "\n";
-      first = false;
-      os << "    {\"section\": ";
-      emit_string(os, name);
-      os << ", \"calls\": " << s.calls << ", \"total_ns\": " << s.total_ns
-         << ", \"max_ns\": " << s.max_ns << "}";
-    }
-    if (!first) os << "\n  ";
-  }
-  os << "],\n";
 
   os << "  \"phases\": [";
   if (perf != nullptr) {

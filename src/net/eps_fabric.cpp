@@ -5,7 +5,6 @@
 
 #include "common/log.h"
 #include "obs/perf_monitor.h"
-#include "obs/profile.h"
 
 namespace cosched {
 
@@ -98,7 +97,6 @@ void EpsFabric::settle_flow(ActiveFlow& af) {
 }
 
 void EpsFabric::recompute_and_replan() {
-  COSCHED_PROF_SCOPE("eps.recompute_and_replan");
   PerfScope perf(PerfPhase::kEpsReplan);
   perf.set_size(active_.size());
   ++replans_;
@@ -111,7 +109,8 @@ void EpsFabric::recompute_and_replan() {
 }
 
 void EpsFabric::fill_rates_grouped() {
-  COSCHED_PROF_SCOPE("eps.fill_rates");
+  PerfScope perf(PerfPhase::kEpsFillRates);
+  perf.set_size(groups_.size());
   const double link_cap = topo_.eps_rack_link().in_bits_per_sec();
   const auto racks = static_cast<std::size_t>(topo_.num_racks);
   const auto nlinks = static_cast<std::int32_t>(racks);

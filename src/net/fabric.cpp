@@ -1,8 +1,9 @@
 #include "net/fabric.h"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
+
+#include "common/parse.h"
 
 namespace cosched {
 
@@ -13,38 +14,22 @@ bool fail(std::string* error, const std::string& msg) {
   return false;
 }
 
-/// Strict positive-integer parse of a whole string: digits only (no
-/// whitespace, no sign, no trailing characters), value in [1, max_value].
-bool parse_planes(const std::string& s, std::int32_t max_value,
-                  std::int32_t* out) {
-  if (s.empty() || s[0] < '0' || s[0] > '9') return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno == ERANGE || end == s.c_str() || *end != '\0') return false;
-  if (v < 1 || v > max_value) return false;
-  *out = static_cast<std::int32_t>(v);
-  return true;
-}
-
-/// Strict positive duration: a number (digits or '.', no sign, no
-/// whitespace) with an optional "ms" or "s" suffix; bare numbers are
-/// seconds. Rejects zero, negatives, and any trailing junk.
-bool parse_period(const std::string& s, Duration* out) {
-  if (s.empty() || ((s[0] < '0' || s[0] > '9') && s[0] != '.')) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (errno == ERANGE || end == s.c_str()) return false;
+/// Strict positive duration (common/parse.h): a number with an optional
+/// "ms" or "s" suffix; bare numbers are seconds. Rejects zero, negatives,
+/// signs, whitespace, and any trailing junk.
+bool parse_period(std::string s, Duration* out) {
   double scale = 1.0;
-  if (end[0] == 'm' && end[1] == 's' && end[2] == '\0') {
+  if (s.ends_with("ms")) {
+    s.resize(s.size() - 2);
     scale = 1e-3;
-  } else if (end[0] == 's' && end[1] == '\0') {
-    scale = 1.0;
-  } else if (end[0] != '\0') {
+  } else if (s.ends_with('s')) {
+    s.pop_back();
+  }
+  double v = 0.0;
+  if (!parse_double(s.c_str(), 0.0, std::numeric_limits<double>::max(), &v) ||
+      v <= 0.0) {
     return false;
   }
-  if (!(v > 0.0)) return false;  // also rejects NaN
   *out = Duration::seconds(v * scale);
   return true;
 }
@@ -66,7 +51,7 @@ std::optional<FabricSpec> FabricSpec::parse(const std::string& spec,
   FabricSpec out;
   if (name == "ocs") {
     out.kind = FabricKind::kOcs;
-    if (has_arg && !parse_planes(arg, 64, &out.planes)) {
+    if (has_arg && !parse_int32(arg.c_str(), 1, 64, &out.planes)) {
       fail(error, "ocs fabric: plane count must be an integer in [1, 64], "
                   "got '" + arg + "'");
       return std::nullopt;

@@ -30,6 +30,14 @@ const char* to_string(PerfPhase phase) {
       return "sim.event_dispatch";
     case PerfPhase::kDriverDispatch:
       return "driver.dispatch";
+    case PerfPhase::kMatching:
+      return "matching.hopcroft_karp";
+    case PerfPhase::kMapsCompleted:
+      return "coscheduler.on_maps_completed";
+    case PerfPhase::kEpsFillRates:
+      return "eps.fill_rates";
+    case PerfPhase::kEstimateAvailability:
+      return "driver.estimate_availability";
   }
   return "unknown";
 }
@@ -49,10 +57,12 @@ std::uint64_t PerfPhaseStats::size_bucket_hi(std::size_t b) {
   return (std::uint64_t{1} << b) - 1;
 }
 
-void PerfPhaseStats::add(std::uint64_t ns, std::uint64_t size) {
+void PerfPhaseStats::add(std::uint64_t ns, std::uint64_t self,
+                         std::uint64_t size) {
   latency.add(ns);
   ++calls;
   total_ns += ns;
+  self_ns += self;
   max_ns = std::max(max_ns, ns);
   SizeBucket& sb = by_size[size_bucket_index(size)];
   ++sb.calls;
@@ -65,6 +75,7 @@ void PerfPhaseStats::merge(const PerfPhaseStats& other) {
   latency.merge(other.latency);
   calls += other.calls;
   total_ns += other.total_ns;
+  self_ns += other.self_ns;
   max_ns = std::max(max_ns, other.max_ns);
   for (std::size_t b = 0; b < kSizeBuckets; ++b) {
     SizeBucket& dst = by_size[b];
@@ -97,13 +108,13 @@ PerfMonitor& PerfMonitor::instance() {
   return mon;
 }
 
-void PerfMonitor::record(PerfPhase phase, std::uint64_t ns,
+void PerfMonitor::record(PerfPhase phase, std::uint64_t ns, std::uint64_t self,
                          std::uint64_t size) {
   if (capture_ != nullptr) {
-    capture_->phases[static_cast<std::size_t>(phase)].add(ns, size);
+    capture_->phases[static_cast<std::size_t>(phase)].add(ns, self, size);
   }
   std::lock_guard<std::mutex> lock(mu_);
-  global_.phases[static_cast<std::size_t>(phase)].add(ns, size);
+  global_.phases[static_cast<std::size_t>(phase)].add(ns, self, size);
 }
 
 void PerfMonitor::reset() {
@@ -130,34 +141,36 @@ double us(double ns) { return ns / 1e3; }
 }  // namespace
 
 void PerfMonitor::write_summary(std::ostream& os, const PerfSnapshot& snap) {
-  os << "--- perf phases (wall clock) ---\n";
+  os << "--- perf phases (wall clock; self excludes nested phases) ---\n";
   if (snap.empty()) {
     os << "  (no samples; was the monitor enabled?)\n";
     return;
   }
-  os << "  " << std::left << std::setw(20) << "phase" << std::right
+  os << "  " << std::left << std::setw(30) << "phase" << std::right
      << std::setw(10) << "calls" << std::setw(12) << "total_ms"
-     << std::setw(10) << "p50_us" << std::setw(10) << "p99_us"
-     << std::setw(10) << "max_us" << "\n";
+     << std::setw(12) << "self_ms" << std::setw(10) << "p50_us"
+     << std::setw(10) << "p99_us" << std::setw(10) << "max_us" << "\n";
   const auto old_flags = os.flags();
   const auto old_prec = os.precision();
   os << std::fixed << std::setprecision(1);
   for (std::size_t p = 0; p < kPerfPhaseCount; ++p) {
     const PerfPhaseStats& s = snap.phases[p];
     if (s.calls == 0) continue;
-    os << "  " << std::left << std::setw(20)
+    os << "  " << std::left << std::setw(30)
        << to_string(static_cast<PerfPhase>(p)) << std::right << std::setw(10)
-       << s.calls << std::setw(12)
-       << static_cast<double>(s.total_ns) / 1e6 << std::setw(10)
-       << us(s.latency.p50()) << std::setw(10) << us(s.latency.p99())
-       << std::setw(10) << us(static_cast<double>(s.latency.max())) << "\n";
+       << s.calls << std::setw(12) << static_cast<double>(s.total_ns) / 1e6
+       << std::setw(12) << static_cast<double>(s.self_ns) / 1e6
+       << std::setw(10) << us(s.latency.p50()) << std::setw(10)
+       << us(s.latency.p99()) << std::setw(10)
+       << us(static_cast<double>(s.latency.max())) << "\n";
     for (std::size_t b = 0; b < PerfPhaseStats::kSizeBuckets; ++b) {
       const PerfPhaseStats::SizeBucket& sb = s.by_size[b];
       if (sb.calls == 0) continue;
       os << "      size " << std::left << std::setw(6)
-         << PerfPhaseStats::size_bucket_lo(b) << std::right << std::setw(18)
+         << PerfPhaseStats::size_bucket_lo(b) << std::right << std::setw(25)
          << sb.calls << std::setw(12)
-         << static_cast<double>(sb.total_ns) / 1e6 << std::setw(10)
+         << static_cast<double>(sb.total_ns) / 1e6 << std::setw(12) << ""
+         << std::setw(10)
          << us(static_cast<double>(sb.total_ns) /
                static_cast<double>(sb.calls))
          << std::setw(10) << "" << std::setw(10)

@@ -1,13 +1,18 @@
-// Wall-clock cost attribution for the simulator's scheduling passes.
+// Wall-clock cost attribution for the simulator's own hot paths: the one
+// scoped timer of the codebase.
 //
-// Where the flat Profiler (profile.h) answers "how much total wall-clock
-// did section X burn", the PerfMonitor answers the scale-campaign question:
-// *how does the cost of one invocation grow with problem size?* Every
-// instrumented phase records a per-invocation latency into a log-bucketed
-// LatencyHistogram (p50/p90/p99/max) and attributes the cost to a
-// log2-bucketed *size* axis — jobs considered by an OCAS grant loop, racks
-// scanned by an SBS explore, flows in an EPS replan — so one monitored run
-// yields the whole cost-vs-scale curve per phase.
+// Every instrumented phase records a per-invocation latency into a
+// log-bucketed LatencyHistogram (p50/p90/p99/max) and attributes the cost
+// to a log2-bucketed *size* axis — jobs considered by an OCAS grant loop,
+// racks scanned by an SBS explore, flows in an EPS replan — so one
+// monitored run yields the whole cost-vs-scale curve per phase.
+//
+// Phases nest (sbs.explore inside psrt.enumerate, ocas.grant inside
+// driver.dispatch, everything inside sim.event_dispatch), so each phase
+// records both its *inclusive* time (total_ns) and its *self* time
+// (self_ns): the inclusive time minus that of the active scopes nested
+// directly inside it on the same thread. Self times never overlap, so they
+// can be summed; wall time minus their sum is the run's unattributed cost.
 //
 //   std::optional<TaskChoice> CoScheduler::pick_task(...) {
 //     PerfScope perf(PerfPhase::kOcasGrant);
@@ -22,14 +27,16 @@
 // runs are bit-for-bit identical to dark runs (test- and fuzzer-pinned,
 // the same guarantee the auditor gives).
 //
-// Like the Profiler, the registry is process-global (hot paths live in
-// leaf libraries) and mutex-guarded so parallel experiment workers can all
-// feed it. A per-run view is available through the thread-local capture:
-// the driver brackets each observed run with begin_capture()/end_capture()
-// so a repetition's snapshot contains only its own invocations even when
-// other repetitions share the process or run concurrently.
+// The registry is process-global (hot paths live in leaf libraries that
+// know nothing about the driver) and mutex-guarded so parallel experiment
+// workers can all feed it. A per-run view is available through the
+// thread-local capture: the driver brackets each observed run with
+// begin_capture()/end_capture() so a repetition's snapshot contains only
+// its own invocations even when other repetitions share the process or
+// run concurrently.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -52,8 +59,12 @@ enum class PerfPhase : std::uint8_t {
   kEpsReplan,          ///< EPS rate recompute + replan; size = active flows
   kEventDispatch,      ///< one simulator event; size = live events pending
   kDriverDispatch,     ///< driver container-grant pass; size = racks scanned
+  kMatching,           ///< Hopcroft-Karp matching; size = left vertices
+  kMapsCompleted,      ///< Co-scheduler all-maps-done hook; size = reduces
+  kEpsFillRates,       ///< EPS grouped max-min filling; size = flow groups
+  kEstimateAvailability,  ///< driver rack T_rem estimate; size = running tasks
 };
-inline constexpr std::size_t kPerfPhaseCount = 8;
+inline constexpr std::size_t kPerfPhaseCount = 12;
 
 [[nodiscard]] const char* to_string(PerfPhase phase);
 
@@ -73,7 +84,8 @@ struct PerfPhaseStats {
   LatencyHistogram latency;
   std::array<SizeBucket, kSizeBuckets> by_size{};
   std::uint64_t calls = 0;
-  std::uint64_t total_ns = 0;
+  std::uint64_t total_ns = 0;  ///< inclusive of nested phases
+  std::uint64_t self_ns = 0;   ///< total_ns minus directly nested scopes
   std::uint64_t max_ns = 0;
 
   [[nodiscard]] static std::size_t size_bucket_index(std::uint64_t size);
@@ -82,7 +94,7 @@ struct PerfPhaseStats {
   /// Inclusive upper bound of size bucket `b` (0, 1, 3, 7, 15, ...).
   [[nodiscard]] static std::uint64_t size_bucket_hi(std::size_t b);
 
-  void add(std::uint64_t ns, std::uint64_t size);
+  void add(std::uint64_t ns, std::uint64_t self, std::uint64_t size);
   void merge(const PerfPhaseStats& other);
 };
 
@@ -109,7 +121,9 @@ class PerfMonitor {
     return enabled_.load(std::memory_order_relaxed);
   }
 
-  void record(PerfPhase phase, std::uint64_t ns, std::uint64_t size);
+  /// One invocation: inclusive `ns`, of which `self` outside nested scopes.
+  void record(PerfPhase phase, std::uint64_t ns, std::uint64_t self,
+              std::uint64_t size);
   void reset();
   [[nodiscard]] PerfSnapshot snapshot() const;
 
@@ -119,8 +133,8 @@ class PerfMonitor {
   static void begin_capture(PerfSnapshot* out);
   static void end_capture();
 
-  /// Per-phase table: calls, total ms, p50/p99/max us, plus one row per
-  /// populated size bucket (cost-vs-scale in text form).
+  /// Per-phase table: calls, inclusive and self ms, p50/p99/max us, plus
+  /// one row per populated size bucket (cost-vs-scale in text form).
   static void write_summary(std::ostream& os, const PerfSnapshot& snap);
 
  private:
@@ -134,20 +148,29 @@ class PerfMonitor {
 };
 
 /// RAII per-invocation timer; inert when monitoring is off. set_size()
-/// tags the invocation's size axis (defaults to 0).
+/// tags the invocation's size axis (defaults to 0). An active scope links
+/// itself under this thread's innermost active scope and, on exit, charges
+/// its inclusive time to that parent's child total, which is how self time
+/// is derived. A disabled scope is one relaxed load and touches nothing.
 class PerfScope {
  public:
   explicit PerfScope(PerfPhase phase)
       : phase_(phase), active_(PerfMonitor::enabled()) {
-    if (active_) start_ = std::chrono::steady_clock::now();
+    if (!active_) return;
+    parent_ = current_;
+    current_ = this;
+    start_ = std::chrono::steady_clock::now();
   }
   ~PerfScope() {
     if (!active_) return;
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - start_)
-                        .count();
-    PerfMonitor::instance().record(phase_, static_cast<std::uint64_t>(ns),
-                                   size_);
+    const auto ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start_)
+            .count());
+    current_ = parent_;
+    if (parent_ != nullptr) parent_->children_ns_ += ns;
+    PerfMonitor::instance().record(phase_, ns,
+                                   ns - std::min(ns, children_ns_), size_);
   }
   PerfScope(const PerfScope&) = delete;
   PerfScope& operator=(const PerfScope&) = delete;
@@ -158,9 +181,13 @@ class PerfScope {
   void set_size(std::uint64_t size) { size_ = size; }
 
  private:
+  static inline thread_local PerfScope* current_ = nullptr;
+
   PerfPhase phase_;
   bool active_;
   std::uint64_t size_ = 0;
+  std::uint64_t children_ns_ = 0;
+  PerfScope* parent_ = nullptr;
   std::chrono::steady_clock::time_point start_;
 };
 

@@ -13,7 +13,6 @@
 #include "obs/decision_log.h"
 #include "obs/observability.h"
 #include "obs/perf_monitor.h"
-#include "obs/profile.h"
 #include "sched/best_rack_heap.h"
 
 namespace cosched {
@@ -324,7 +323,8 @@ CctBoundFn CoScheduler::planner_bound(const SchedContext& ctx) {
 }
 
 void CoScheduler::on_maps_completed(Job& job, SchedContext& ctx) {
-  COSCHED_PROF_SCOPE("coscheduler.on_maps_completed");
+  PerfScope maps_perf(PerfPhase::kMapsCompleted);
+  maps_perf.set_size(static_cast<std::uint64_t>(job.spec().num_reduces));
   // Membership must begin before any of the planning early-returns below:
   // reduces become eligible at all_maps_done whether or not the job gets a
   // reduce plan.

@@ -10,7 +10,6 @@
 #include "fabric/fabric_factory.h"
 #include "obs/observability.h"
 #include "obs/perf_monitor.h"
-#include "obs/profile.h"
 
 namespace cosched {
 
@@ -120,14 +119,12 @@ SchedContext SimulationDriver::make_context() {
 }
 
 RunMetrics SimulationDriver::run() {
-  // Per-run wall-clock capture: when the global Profiler / PerfMonitor are
-  // enabled and an obs bundle is attached, bracket this run with the
-  // thread-local captures so the bundle's profile/perf deltas cover exactly
-  // this run's thread — no conflation across repetitions or with parallel
-  // workers sharing the global registries.
-  const bool capture_prof = cfg_.obs != nullptr && Profiler::enabled();
+  // Per-run wall-clock capture: when the global PerfMonitor is enabled and
+  // an obs bundle is attached, bracket this run with the thread-local
+  // capture so the bundle's perf delta covers exactly this run's thread —
+  // no conflation across repetitions or with parallel workers sharing the
+  // global registry.
   const bool capture_perf = cfg_.obs != nullptr && PerfMonitor::enabled();
-  if (capture_prof) Profiler::begin_capture(&cfg_.obs->profile);
   if (capture_perf) PerfMonitor::begin_capture(&cfg_.obs->perf);
 
   if (cfg_.heartbeat_sec > 0.0) {
@@ -160,7 +157,6 @@ RunMetrics SimulationDriver::run() {
   }
   if (audit_) audit_->final_check();
   if (cfg_.heartbeat_sec > 0.0) emit_heartbeat();  // final summary beat
-  if (capture_prof) Profiler::end_capture();
   if (capture_perf) PerfMonitor::end_capture();
 
   RunMetrics m;
@@ -281,7 +277,6 @@ void SimulationDriver::request_dispatch() {
 }
 
 void SimulationDriver::dispatch() {
-  COSCHED_PROF_SCOPE("driver.dispatch");
   PerfScope perf(PerfPhase::kDriverDispatch);
   perf.set_size(static_cast<std::uint64_t>(cfg_.topo.num_racks));
   if (pending_tasks_ == 0) return;
@@ -905,7 +900,7 @@ bool SimulationDriver::break_deadlock() {
 
 Duration SimulationDriver::estimate_availability(RackId rack,
                                                  std::int64_t count) {
-  COSCHED_PROF_SCOPE("driver.estimate_availability");
+  PerfScope perf(PerfPhase::kEstimateAvailability);
   COSCHED_CHECK(count > 0);
   if (count > cfg_.topo.slots_per_rack()) return Duration::infinity();
   const std::int64_t free = cluster_.free_slots(rack);
@@ -914,6 +909,7 @@ Duration SimulationDriver::estimate_availability(RackId rack,
 
   std::vector<double> remaining_sec;
   const auto& running = running_by_rack_[static_cast<std::size_t>(rack.value())];
+  perf.set_size(running.size());
   remaining_sec.reserve(running.size());
   for (Task* t : running) {
     double est;

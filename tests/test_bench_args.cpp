@@ -32,14 +32,13 @@ TEST(BenchArgsParse, DefaultsWithNoFlags) {
   EXPECT_EQ(args->jobs, 200);
   EXPECT_EQ(args->seed, 42u);
   EXPECT_EQ(args->threads, 1);
-  EXPECT_FALSE(args->profile);
   EXPECT_FALSE(args->observing());
 }
 
 TEST(BenchArgsParse, ValidFlagsParse) {
   const auto args = parse({"--reps=20", "--jobs=1000", "--seed=123456789",
                            "--threads=8", "--trace-out=/tmp/t.json",
-                           "--counters-out=/tmp/c.csv", "--profile"});
+                           "--counters-out=/tmp/c.csv"});
   ASSERT_TRUE(args.has_value());
   EXPECT_EQ(args->reps, 20);
   EXPECT_EQ(args->jobs, 1000);
@@ -47,8 +46,18 @@ TEST(BenchArgsParse, ValidFlagsParse) {
   EXPECT_EQ(args->threads, 8);
   EXPECT_EQ(args->trace_out, "/tmp/t.json");
   EXPECT_EQ(args->counters_out, "/tmp/c.csv");
-  EXPECT_TRUE(args->profile);
   EXPECT_TRUE(args->observing());
+}
+
+TEST(BenchArgsParse, ProfileFlagsAreRemoved) {
+  // The per-phase table comes from --report-out (tools/run_report.py show)
+  // or the observed run's summary; there is no separate profile flag.
+  const std::string removed = "profile";
+  for (const std::string& flag : {"--" + removed, "--" + removed + "-out=x"}) {
+    std::string error;
+    EXPECT_FALSE(parse({flag}, &error).has_value()) << flag;
+    EXPECT_EQ(error, "unknown flag: " + flag);
+  }
 }
 
 TEST(BenchArgsParse, ThreadsZeroMeansHardwareConcurrency) {

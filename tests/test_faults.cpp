@@ -99,6 +99,48 @@ TEST(FaultSpec, RejectsMalformedInput) {
   EXPECT_NE(parse_error("straggler:p=0.1,straggler:p=0.2"), "");  // dup
 }
 
+TEST(FaultSpec, RejectsNonFiniteSignedAndSpacedValuesNamingTheClause) {
+  // Values must be strict finite decimals: NaN would silently disable a
+  // clause and inf would abort the run mid-way, so both fail the parse.
+  const struct {
+    const char* spec;
+    const char* clause;
+  } kBad[] = {
+      {"straggler:p=nan", "straggler"},
+      {"straggler:p= 0.1", "straggler"},
+      {"straggler:p=+0.1", "straggler"},
+      {"straggler:slow=inf", "straggler"},
+      {"container-kill:p=nan", "container-kill"},
+      {"ocs-outage:at=5s:dur=inf", "ocs-outage"},
+      {"ocs-outage:at=inf:dur=1s", "ocs-outage"},
+      {"ocs-outage:at=nans:dur=1s", "ocs-outage"},
+      {"ocs-outage:at= 5s:dur=1s", "ocs-outage"},
+      {"ocs-outage:at=1e308s:dur=1e308s", "ocs-outage"},
+      {"ocs-outage:at=5s:dur=1s:plane=4294967296", "ocs-outage"},
+      {"ocs-outage:at=5s:dur=1s:plane=1e1", "ocs-outage"},
+      {"ocs-outage:at=5s:dur=1s:plane=+1", "ocs-outage"},
+      {"reconfig-jitter:pct=nan", "reconfig-jitter"},
+      {"trem-noise:pct=nan", "trem-noise"},
+      {"trem-noise:pct=inf", "trem-noise"},
+  };
+  for (const auto& bad : kBad) {
+    const std::string error = parse_error(bad.spec);
+    EXPECT_EQ(error.rfind(bad.clause, 0), 0u)
+        << bad.spec << " -> '" << error << "'";
+  }
+
+  // Well-formed specs, 's' suffix included, parse and round-trip.
+  for (const char* spec :
+       {"straggler:p=0.05:slow=2", "straggler:p=0:slow=1.5",
+        "container-kill:p=0.25", "ocs-outage:at=300s:dur=60s",
+        "ocs-outage:at=0:dur=.5s:plane=0", "ocs-outage:at=1e3:dur=2.5e1s",
+        "reconfig-jitter:pct=100", "trem-noise:pct=0"}) {
+    const FaultPlan plan = parse_ok(spec);
+    EXPECT_FALSE(plan.empty()) << spec;
+    EXPECT_EQ(parse_ok(plan.to_spec()).to_spec(), plan.to_spec()) << spec;
+  }
+}
+
 TEST(FaultSpec, TremErrorOrPrefersTheClause) {
   EXPECT_DOUBLE_EQ(FaultPlan{}.trem_error_or(0.25), 0.25);
   EXPECT_DOUBLE_EQ(parse_ok("trem-noise:pct=30").trem_error_or(0.25), 0.3);

@@ -19,7 +19,7 @@
 #include "metrics/report.h"
 #include "net/flow.h"
 #include "obs/observability.h"
-#include "obs/profile.h"
+#include "obs/perf_monitor.h"
 #include "sim/driver.h"
 #include "sim/experiment.h"
 
@@ -263,11 +263,12 @@ TEST(TraceRecorder, DisabledRecorderAllocatesNothing) {
                       .a = 2,
                       .b = 1.5};
   DecisionLog log;  // disabled
+  PerfMonitor::set_enabled(false);
   const std::int64_t before = g_allocations.load();
   for (int i = 0; i < 100000; ++i) {
     rec.record(ev);
     log.record(GrantDecision{});
-    COSCHED_PROF_SCOPE("test.disabled");  // profiling off: single branch
+    PerfScope scope(PerfPhase::kEventDispatch);  // monitor off: one load
   }
   EXPECT_EQ(g_allocations.load(), before);
   EXPECT_EQ(rec.size(), 0u);
@@ -473,36 +474,6 @@ TEST(DecisionLog, PlacementPlanMatchesExecutedGrants) {
   d.write_grants_csv(os);
   d.write_circuits_csv(os);
   EXPECT_NE(os.str().find("ocas_class"), std::string::npos);
-}
-
-// --- Profiler --------------------------------------------------------------
-
-TEST(Profiler, ScopesAccumulateWhenEnabled) {
-  Profiler::set_enabled(true);
-  Profiler::instance().reset();
-  for (int i = 0; i < 3; ++i) {
-    COSCHED_PROF_SCOPE("test.section");
-  }
-  Profiler::set_enabled(false);
-  const auto snap = Profiler::instance().snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap[0].first, "test.section");
-  EXPECT_EQ(snap[0].second.calls, 3u);
-  EXPECT_LE(snap[0].second.max_ns, snap[0].second.total_ns);
-
-  std::ostringstream os;
-  Profiler::instance().write_summary(os);
-  EXPECT_NE(os.str().find("test.section"), std::string::npos);
-  Profiler::instance().reset();
-}
-
-TEST(Profiler, DisabledScopesRecordNothing) {
-  Profiler::set_enabled(false);
-  Profiler::instance().reset();
-  {
-    COSCHED_PROF_SCOPE("test.never");
-  }
-  EXPECT_TRUE(Profiler::instance().snapshot().empty());
 }
 
 // --- Observability summary -------------------------------------------------

@@ -1,11 +1,13 @@
 // Performance-observability suite (ctest -L obs): the LatencyHistogram's
 // fixed bucket layout and percentile math, PerfPhaseStats size attribution,
-// PerfMonitor enable/capture semantics, the RunReport JSON exporter, and —
+// PerfMonitor enable/capture semantics and self-time accounting, the
+// RunReport JSON exporter, and —
 // most importantly — the guarantee the whole subsystem rests on: a run with
 // monitoring and heartbeat enabled is bit-for-bit identical to a dark run.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <sstream>
@@ -16,7 +18,6 @@
 #include "obs/latency_histogram.h"
 #include "obs/observability.h"
 #include "obs/perf_monitor.h"
-#include "obs/profile.h"
 #include "sim/experiment.h"
 
 namespace cosched {
@@ -198,11 +199,12 @@ TEST(PerfPhaseStats, SizeBucketBoundsMatchIndex) {
 
 TEST(PerfPhaseStats, AddAttributesToSizeBucket) {
   PerfPhaseStats s;
-  s.add(100, 5);  // sizes 4..7 -> bucket 3
-  s.add(300, 6);
-  s.add(50, 0);  // -> bucket 0
+  s.add(100, 100, 5);  // sizes 4..7 -> bucket 3
+  s.add(300, 200, 6);
+  s.add(50, 50, 0);  // -> bucket 0
   EXPECT_EQ(s.calls, 3u);
   EXPECT_EQ(s.total_ns, 450u);
+  EXPECT_EQ(s.self_ns, 350u);
   EXPECT_EQ(s.max_ns, 300u);
   EXPECT_EQ(s.latency.count(), 3u);
   EXPECT_EQ(s.by_size[3].calls, 2u);
@@ -213,9 +215,10 @@ TEST(PerfPhaseStats, AddAttributesToSizeBucket) {
   EXPECT_EQ(s.by_size[0].total_ns, 50u);
 
   PerfPhaseStats other;
-  other.add(1000, 7);
+  other.add(1000, 600, 7);
   s.merge(other);
   EXPECT_EQ(s.calls, 4u);
+  EXPECT_EQ(s.self_ns, 950u);
   EXPECT_EQ(s.max_ns, 1000u);
   EXPECT_EQ(s.by_size[3].calls, 3u);
   EXPECT_EQ(s.by_size[3].total_size, 18u);
@@ -232,6 +235,14 @@ TEST(PerfMonitor, PhaseNamesAreStable) {
   EXPECT_STREQ(to_string(PerfPhase::kEpsReplan), "eps.replan");
   EXPECT_STREQ(to_string(PerfPhase::kEventDispatch), "sim.event_dispatch");
   EXPECT_STREQ(to_string(PerfPhase::kDriverDispatch), "driver.dispatch");
+  EXPECT_STREQ(to_string(PerfPhase::kMatching), "matching.hopcroft_karp");
+  EXPECT_STREQ(to_string(PerfPhase::kMapsCompleted),
+               "coscheduler.on_maps_completed");
+  EXPECT_STREQ(to_string(PerfPhase::kEpsFillRates), "eps.fill_rates");
+  EXPECT_STREQ(to_string(PerfPhase::kEstimateAvailability),
+               "driver.estimate_availability");
+  static_assert(static_cast<std::size_t>(PerfPhase::kEstimateAvailability) ==
+                kPerfPhaseCount - 1);
 }
 
 TEST(PerfMonitor, DisabledScopeRecordsNothing) {
@@ -268,16 +279,17 @@ TEST(PerfMonitor, CaptureSeesOnlyBracketedRecords) {
   PerfMonitor::set_enabled(true);
   PerfMonitor::instance().reset();
 
-  PerfMonitor::instance().record(PerfPhase::kEpsReplan, 10, 1);  // pre-capture
+  PerfMonitor::instance().record(PerfPhase::kEpsReplan, 10, 10, 1);  // pre
   PerfSnapshot cap;
   PerfMonitor::begin_capture(&cap);
-  PerfMonitor::instance().record(PerfPhase::kEpsReplan, 20, 2);
+  PerfMonitor::instance().record(PerfPhase::kEpsReplan, 20, 15, 2);
   PerfMonitor::end_capture();
-  PerfMonitor::instance().record(PerfPhase::kEpsReplan, 30, 3);  // post
+  PerfMonitor::instance().record(PerfPhase::kEpsReplan, 30, 30, 3);  // post
   PerfMonitor::set_enabled(false);
 
   EXPECT_EQ(cap.phase(PerfPhase::kEpsReplan).calls, 1u);
   EXPECT_EQ(cap.phase(PerfPhase::kEpsReplan).total_ns, 20u);
+  EXPECT_EQ(cap.phase(PerfPhase::kEpsReplan).self_ns, 15u);
   EXPECT_EQ(
       PerfMonitor::instance().snapshot().phase(PerfPhase::kEpsReplan).calls,
       3u);
@@ -285,46 +297,78 @@ TEST(PerfMonitor, CaptureSeesOnlyBracketedRecords) {
 
 TEST(PerfMonitor, WriteSummaryListsRecordedPhases) {
   PerfSnapshot snap;
-  snap.phases[static_cast<std::size_t>(PerfPhase::kSunflowAlloc)].add(500, 9);
+  snap.phases[static_cast<std::size_t>(PerfPhase::kSunflowAlloc)].add(500, 400,
+                                                                      9);
   std::ostringstream os;
   PerfMonitor::write_summary(os, snap);
   const std::string out = os.str();
   EXPECT_NE(out.find("sunflow.allocation"), std::string::npos);
+  EXPECT_NE(out.find("self_ms"), std::string::npos);
   EXPECT_EQ(out.find("ocas.grant"), std::string::npos);
 }
 
-// ---- Profiler per-run capture ---------------------------------------------
-
-TEST(Profiler, CaptureCollectsDeltaNotCumulative) {
-  Profiler::set_enabled(true);
-  Profiler::instance().reset();
-  Profiler::instance().add("perf_test.section", 100);
-
-  std::vector<std::pair<std::string, Profiler::Section>> cap;
-  Profiler::begin_capture(&cap);
-  Profiler::instance().add("perf_test.section", 200);
-  Profiler::instance().add("perf_test.other", 50);
-  Profiler::end_capture();
-  Profiler::instance().add("perf_test.section", 400);
-  Profiler::set_enabled(false);
-
-  // The capture holds only what happened inside the bracket — the fix for
-  // cross-run accumulation in multi-repetition benches.
-  ASSERT_EQ(cap.size(), 2u);
-  EXPECT_EQ(cap[0].first, "perf_test.section");
-  EXPECT_EQ(cap[0].second.calls, 1u);
-  EXPECT_EQ(cap[0].second.total_ns, 200u);
-  EXPECT_EQ(cap[1].first, "perf_test.other");
-  EXPECT_EQ(cap[1].second.calls, 1u);
-
-  // The global registry still accumulates everything.
-  for (const auto& [name, s] : Profiler::instance().snapshot()) {
-    if (name == "perf_test.section") {
-      EXPECT_EQ(s.calls, 3u);
-      EXPECT_EQ(s.total_ns, 700u);
-    }
+/// Spin until the steady clock has advanced, so every scope below records
+/// a non-zero duration.
+void burn() {
+  const auto start = std::chrono::steady_clock::now();
+  while (std::chrono::steady_clock::now() == start) {
   }
-  Profiler::instance().reset();
+}
+
+TEST(PerfMonitor, NestedScopeSelfTimeExcludesChildren) {
+  PerfMonitor::set_enabled(true);
+  PerfMonitor::instance().reset();
+  {
+    PerfScope outer(PerfPhase::kDriverDispatch);
+    burn();
+    {
+      PerfScope inner(PerfPhase::kOcasGrant);
+      burn();
+      {
+        PerfScope leaf(PerfPhase::kEstimateAvailability);
+        burn();
+      }
+    }
+    {
+      PerfScope inner(PerfPhase::kOcasGrant);
+      burn();
+    }
+    burn();
+  }
+  PerfMonitor::set_enabled(false);
+
+  const PerfSnapshot snap = PerfMonitor::instance().snapshot();
+  const PerfPhaseStats& outer = snap.phase(PerfPhase::kDriverDispatch);
+  const PerfPhaseStats& inner = snap.phase(PerfPhase::kOcasGrant);
+  const PerfPhaseStats& leaf = snap.phase(PerfPhase::kEstimateAvailability);
+  ASSERT_EQ(outer.calls, 1u);
+  ASSERT_EQ(inner.calls, 2u);
+  ASSERT_EQ(leaf.calls, 1u);
+  // Exact, in ns: a scope's self time is its total minus the totals of the
+  // scopes directly inside it, and nothing is charged twice.
+  EXPECT_EQ(outer.self_ns, outer.total_ns - inner.total_ns);
+  EXPECT_EQ(inner.self_ns, inner.total_ns - leaf.total_ns);
+  EXPECT_EQ(leaf.self_ns, leaf.total_ns);
+  EXPECT_EQ(outer.self_ns + inner.self_ns + leaf.self_ns, outer.total_ns);
+  EXPECT_GT(outer.self_ns, 0u);
+  EXPECT_GT(inner.self_ns, 0u);
+}
+
+TEST(PerfMonitor, DisabledOuterScopeLeavesInnerSelfTimeWhole) {
+  PerfMonitor::set_enabled(false);
+  PerfMonitor::instance().reset();
+  {
+    PerfScope dark(PerfPhase::kDriverDispatch);
+    PerfMonitor::set_enabled(true);
+    PerfScope lit(PerfPhase::kOcasGrant);
+    burn();
+  }
+  PerfMonitor::set_enabled(false);
+  const PerfSnapshot snap = PerfMonitor::instance().snapshot();
+  EXPECT_EQ(snap.phase(PerfPhase::kDriverDispatch).calls, 0u);
+  const PerfPhaseStats& lit = snap.phase(PerfPhase::kOcasGrant);
+  ASSERT_EQ(lit.calls, 1u);
+  EXPECT_EQ(lit.self_ns, lit.total_ns);
 }
 
 // ---- RunReport JSON -------------------------------------------------------
@@ -380,8 +424,13 @@ TEST(RunReport, EmitsAllSectionsAndBalances) {
   Observability obs;
   ExperimentConfig observed = cfg;
   observed.sim.obs = &obs;
+  const auto wall_start = std::chrono::steady_clock::now();
   const RunMetrics run =
       run_once(observed, make_scheduler_factory("coscheduler"), 0);
+  const auto wall_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - wall_start)
+          .count());
   PerfMonitor::set_enabled(false);
 
   RunReportMeta meta;
@@ -390,19 +439,21 @@ TEST(RunReport, EmitsAllSectionsAndBalances) {
   meta.wall_time_sec = 0.25;
   meta.rss_high_water_bytes = 1 << 20;
   std::ostringstream os;
-  write_run_report_json(os, run, meta, &obs.perf, &obs.profile, &obs.counters);
+  write_run_report_json(os, run, meta, &obs.perf, &obs.counters);
   const std::string json = os.str();
 
   expect_balanced_json(json);
   for (const char* key :
-       {"\"schema\": \"cosched.run_report\"", "\"version\": 2",
+       {"\"schema\": \"cosched.run_report\"", "\"version\": 3",
         "\"scheduler\": \"coscheduler\"", "\"config\": {\"jobs\": 18",
         "\"metrics\": {", "\"makespan_sec\": ", "\"jct_percentiles\": ",
         "\"jain_fairness\": ", "\"dispatch_waves\": ", "\"faults\": {",
-        "\"counters\": {", "\"profile\": [", "\"phases\": ["}) {
+        "\"counters\": {", "\"phases\": [", "\"self_ns\": "}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
-  // All eight phases appear by stable name, with histograms attached.
+  // v3 dropped the flat profile section: the phases are the one table.
+  EXPECT_EQ(json.find("\"profile\""), std::string::npos);
+  // Every phase appears by stable name, with histograms attached.
   for (std::size_t p = 0; p < kPerfPhaseCount; ++p) {
     const std::string name =
         std::string("\"name\": \"") + to_string(static_cast<PerfPhase>(p)) +
@@ -415,6 +466,15 @@ TEST(RunReport, EmitsAllSectionsAndBalances) {
   EXPECT_GT(obs.perf.phase(PerfPhase::kOcasGrant).calls, 0u);
   EXPECT_GT(obs.perf.phase(PerfPhase::kSunflowAlloc).calls, 0u);
   EXPECT_GT(obs.perf.phase(PerfPhase::kEventDispatch).calls, 0u);
+  // Self time never exceeds inclusive time, and self times do not overlap,
+  // so their sum fits inside the run's wall time.
+  std::uint64_t self_sum = 0;
+  for (const PerfPhaseStats& s : obs.perf.phases) {
+    EXPECT_LE(s.self_ns, s.total_ns);
+    self_sum += s.self_ns;
+  }
+  EXPECT_GT(self_sum, 0u);
+  EXPECT_LE(self_sum, wall_ns);
 }
 
 TEST(RunReport, DarkRunStillYieldsValidReport) {
@@ -428,7 +488,6 @@ TEST(RunReport, DarkRunStillYieldsValidReport) {
   EXPECT_NE(json.find("\"schema\": \"cosched.run_report\""),
             std::string::npos);
   EXPECT_NE(json.find("\"phases\": []"), std::string::npos);
-  EXPECT_NE(json.find("\"profile\": []"), std::string::npos);
 }
 
 TEST(RunReport, IdenticalInputsSerializeIdentically) {
@@ -475,7 +534,7 @@ void expect_run_bitwise_equal(const RunMetrics& a, const RunMetrics& b,
 TEST(PerfDeterminism, MonitoredHeartbeatRunIsBitIdenticalToDark) {
   const ExperimentConfig cfg = tiny_config(42);
   for (const char* name : {"fair", "coscheduler"}) {
-    // Dark run: no monitor, no heartbeat, no profiler.
+    // Dark run: no monitor, no heartbeat.
     PerfMonitor::set_enabled(false);
     const RunMetrics dark = run_once(cfg, make_scheduler_factory(name), 0);
 
@@ -495,7 +554,19 @@ TEST(PerfDeterminism, MonitoredHeartbeatRunIsBitIdenticalToDark) {
     EXPECT_EQ(beats.str().rfind("[heartbeat] wall=", 0), 0u) << name;
     EXPECT_NE(beats.str().find("jobs=18/18"), std::string::npos) << name;
     // ...and the monitor actually saw the run.
-    EXPECT_FALSE(PerfMonitor::instance().snapshot().empty()) << name;
+    const PerfSnapshot snap = PerfMonitor::instance().snapshot();
+    EXPECT_FALSE(snap.empty()) << name;
+    if (std::string(name) == "coscheduler") {
+      // The coscheduler run reaches the fabric, matching and driver phases
+      // as well as the scheduler's own.
+      for (const PerfPhase p :
+           {PerfPhase::kSunflowAlloc, PerfPhase::kDriverDispatch,
+            PerfPhase::kEpsReplan, PerfPhase::kMatching,
+            PerfPhase::kMapsCompleted, PerfPhase::kEpsFillRates,
+            PerfPhase::kEstimateAvailability}) {
+        EXPECT_GT(snap.phase(p).calls, 0u) << to_string(p);
+      }
+    }
   }
 }
 

@@ -59,8 +59,11 @@ NOTES = [
     "BM_EpsHighChurnReplan overstates the reference's cost by one grouped "
     "fill plus the oracle's flow-list copy and sorts; the committed "
     "numbers predate that.",
-    "The driver.dispatch times are inclusive of the ocas.grant calls made "
-    "inside each wave; neither timer computes self time.",
+    "BM_DriverDispatchSelfTime* report the PerfMonitor driver.dispatch "
+    "phase's inclusive total: the ocas.grant calls made inside each wave "
+    "and the overhead of the timers nested in it (ocas.grant and any "
+    "other phase a wave reaches) are included; the phase's self time is "
+    "in the RunReport.",
 ]
 
 
@@ -159,8 +162,8 @@ def cmd_run(args):
         sched_inbin["sbs_explore"] = round(
             old["real_time_ns"] / new["real_time_ns"], 3)
     doc["sched_dispatch_speedup_vs_reference_engine"] = sched_inbin
-    # In-binary dispatch pair: driver.dispatch time (profiler section,
-    # manual-timed, inclusive of the grants) with vs without the offer
+    # In-binary dispatch pair: driver.dispatch time (the PerfMonitor phase's
+    # inclusive total, manual-timed, grants and nested timers included) with vs without the offer
     # queue's shortcuts at 10k jobs.
     disp = doc["suites"].get("bench_micro_dispatch", {}).get("after", {})
     disp_inbin = {}

@@ -6,12 +6,16 @@ Usage:
   tools/run_report.py show   REPORT [--phases]
   tools/run_report.py diff   REPORT_A REPORT_B [--tolerance=REL]
 
-`check` validates the schema (exit 0/1) — pass --require-phases to also
+`check` validates the schema (exit 0/1), including the self-time bounds of
+a v3 report: no phase's self_ns exceeds its total_ns, and the phases'
+summed self time fits inside wall_time_sec.  Pass --require-phases to also
 demand that the named PerfMonitor phases recorded samples with size
-attribution.  `show` prints a human summary.  `diff` compares the result
-metrics of two reports (wall-clock fields are informational only and never
-diffed), failing if any metric differs by more than --tolerance relative
-(default 0: bit-exact decimal representation).
+attribution.  `show` prints a human summary with the phases sorted by self
+time and an `unattributed` row (wall time minus summed self time).  `diff`
+compares the result metrics of two reports of any version (wall-clock
+fields are informational only and never diffed), failing if any metric
+differs by more than --tolerance relative (default 0: bit-exact decimal
+representation).
 """
 
 import argparse
@@ -20,9 +24,10 @@ import sys
 
 SCHEMA = "cosched.run_report"
 # v1 reports lack metrics.dispatch_waves (added in v2 together with the
-# dispatch-engine work); both validate, and `diff` compares whatever metric
-# fields each document carries.
-VERSIONS = {1, 2}
+# dispatch-engine work). v3 dropped the flat `profile` section and added
+# each phase's `self_ns`. All three validate, and `diff` compares whatever
+# metric fields each document carries.
+VERSIONS = {1, 2, 3}
 
 # The five scheduling passes the scale campaign cares about (ISSUE 6
 # acceptance); `check --require-phases=default` expands to these.
@@ -45,8 +50,12 @@ TOP_LEVEL_KEYS = {
     "metrics": dict,
     "faults": dict,
     "counters": dict,
-    "profile": list,
     "phases": list,
+}
+
+# Required below v3 only: the flat wall-clock profile the phases replaced.
+TOP_LEVEL_KEYS_BEFORE_V3 = {
+    "profile": list,
 }
 
 METRIC_KEYS = [
@@ -76,6 +85,9 @@ METRIC_KEYS_V2 = [
 PHASE_KEYS = ["name", "calls", "total_ns", "max_ns", "latency_ns",
               "histogram", "by_size"]
 
+# Required from v3 on: time spent in the phase outside nested phases.
+PHASE_KEYS_V3 = ["self_ns"]
+
 
 def load(path):
     with open(path, "r", encoding="utf-8") as f:
@@ -83,7 +95,10 @@ def load(path):
 
 
 def validate(doc, errors):
-    for key, typ in TOP_LEVEL_KEYS.items():
+    keys = dict(TOP_LEVEL_KEYS)
+    if isinstance(doc.get("version"), int) and doc["version"] < 3:
+        keys.update(TOP_LEVEL_KEYS_BEFORE_V3)
+    for key, typ in keys.items():
         if key not in doc:
             errors.append(f"missing top-level key: {key}")
         elif not isinstance(doc[key], typ):
@@ -106,8 +121,9 @@ def validate(doc, errors):
         for p in ("p50", "p90", "p99", "max"):
             if p not in d:
                 errors.append(f"metrics.{digest} missing {p}")
+    phase_keys = PHASE_KEYS + (PHASE_KEYS_V3 if doc["version"] >= 3 else [])
     for i, phase in enumerate(doc["phases"]):
-        for key in PHASE_KEYS:
+        for key in phase_keys:
             if key not in phase:
                 errors.append(f"phases[{i}] missing key: {key}")
                 continue
@@ -124,6 +140,19 @@ def validate(doc, errors):
         if size_calls != phase.get("calls"):
             errors.append(f"phase {name}: by_size calls {size_calls} != "
                           f"calls {phase.get('calls')}")
+        self_ns = phase.get("self_ns", 0)
+        if self_ns > phase.get("total_ns", 0):
+            errors.append(f"phase {name}: self_ns {self_ns} > total_ns "
+                          f"{phase.get('total_ns')}")
+    # Self times never overlap, so together they fit inside the run.
+    self_sum = self_time_ns(doc)
+    if self_sum > doc["wall_time_sec"] * 1e9:
+        errors.append(f"summed self time {self_sum / 1e9:.6f}s exceeds "
+                      f"wall_time_sec {doc['wall_time_sec']}")
+
+
+def self_time_ns(doc):
+    return sum(p.get("self_ns", 0) for p in doc.get("phases", []))
 
 
 def check_required_phases(doc, required, errors):
@@ -202,11 +231,16 @@ def cmd_show(args):
         print(f"  faults: {f}")
     phases = [p for p in doc["phases"] if p["calls"] > 0]
     if phases:
-        print(f"  {'phase':<20}{'calls':>10}{'total':>10}"
+        # Pre-v3 reports carry no self time; order those by total instead.
+        def own(p):
+            return p.get("self_ns", p["total_ns"])
+
+        print(f"  {'phase':<30}{'calls':>10}{'self':>10}{'total':>10}"
               f"{'p50':>10}{'p99':>10}{'max':>10}")
-        for p in sorted(phases, key=lambda p: -p["total_ns"]):
+        for p in sorted(phases, key=lambda p: (-own(p), p["name"])):
             lat = p["latency_ns"]
-            print(f"  {p['name']:<20}{p['calls']:>10}"
+            self_col = fmt_ns(p["self_ns"]) if "self_ns" in p else "-"
+            print(f"  {p['name']:<30}{p['calls']:>10}{self_col:>10}"
                   f"{fmt_ns(p['total_ns']):>10}{fmt_ns(lat['p50']):>10}"
                   f"{fmt_ns(lat['p99']):>10}{fmt_ns(lat['max']):>10}")
             if args.phases:
@@ -215,6 +249,12 @@ def cmd_show(args):
                     print(f"    size>={b['size_lo']:<8}{b['calls']:>12} calls"
                           f"{fmt_ns(mean_ns):>12} mean"
                           f"{fmt_ns(b['max_ns']):>12} max")
+        if doc["version"] >= 3:
+            wall_ns = doc["wall_time_sec"] * 1e9
+            rest = wall_ns - self_time_ns(doc)
+            share = rest / wall_ns if wall_ns > 0 else 0.0
+            print(f"  {'unattributed':<30}{'':>10}{fmt_ns(rest):>10}"
+                  f"   ({100 * share:.1f}% of wall: outside every phase)")
     return 0
 
 
