@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 
 #include "common/check.h"
 
@@ -26,14 +25,17 @@ ClearanceSchedule bvn_clearance(const TrafficMatrix& matrix, Bandwidth bw) {
   // Dense index spaces for the two sides. A rack that both sends and
   // receives appears once on each side (its output port and input port are
   // independent resources).
-  const std::vector<RackId> srcs = matrix.sources();
-  const std::vector<RackId> dsts = matrix.destinations();
+  std::vector<RackId> srcs;
+  std::vector<RackId> dsts;
+  for (const TrafficMatrix::Line& line : matrix.lines()) {
+    (line.is_row ? srcs : dsts).push_back(line.rack);
+  }
   const std::size_t n = std::max(srcs.size(), dsts.size());
 
-  std::map<RackId, std::size_t> src_index;
-  for (std::size_t i = 0; i < srcs.size(); ++i) src_index[srcs[i]] = i;
-  std::map<RackId, std::size_t> dst_index;
-  for (std::size_t j = 0; j < dsts.size(); ++j) dst_index[dsts[j]] = j;
+  const auto index = [](const std::vector<RackId>& racks, RackId rack) {
+    return static_cast<std::size_t>(
+        std::lower_bound(racks.begin(), racks.end(), rack) - racks.begin());
+  };
 
   // real[i][j]: demand still to clear; pad[i][j]: filler making the matrix
   // doubly balanced. All in exact bytes.
@@ -42,7 +44,7 @@ ClearanceSchedule bvn_clearance(const TrafficMatrix& matrix, Bandwidth bw) {
   std::vector<std::vector<std::int64_t>> pad(
       n, std::vector<std::int64_t>(n, 0));
   for (const auto& [key, size] : matrix.entries()) {
-    real[src_index[key.first]][dst_index[key.second]] = size.in_bytes();
+    real[index(srcs, key.first)][index(dsts, key.second)] = size.in_bytes();
   }
 
   // T = max row/col sum of the real matrix.

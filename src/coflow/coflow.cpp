@@ -25,9 +25,10 @@ Flow* Coflow::find_flow(RackId src, RackId dst) {
 }
 
 TrafficMatrix Coflow::cross_rack_matrix() const {
+  // by_pair_ is (src, dst)-ordered, so every add appends.
   TrafficMatrix m;
-  for (const auto& f : flows_) {
-    if (f->src() != f->dst()) m.add(f->src(), f->dst(), f->size());
+  for (const auto& [pair, flow] : by_pair_) {
+    if (pair.first != pair.second) m.add(pair.first, pair.second, flow->size());
   }
   return m;
 }

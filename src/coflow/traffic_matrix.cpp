@@ -1,6 +1,6 @@
 #include "coflow/traffic_matrix.h"
 
-#include <set>
+#include <algorithm>
 
 #include "common/check.h"
 
@@ -10,12 +10,24 @@ void TrafficMatrix::add(RackId src, RackId dst, DataSize size) {
   COSCHED_CHECK(src.valid() && dst.valid());
   COSCHED_CHECK(size >= DataSize::zero());
   if (size.is_zero()) return;
-  entries_[{src, dst}] += size;
+  const Key key{src, dst};
+  if (entries_.empty() || entries_.back().first < key) {
+    entries_.emplace_back(key, size);
+    return;
+  }
+  // Stored sizes are positive, so {key, 0} sorts just before key's entry.
+  auto it = std::lower_bound(entries_.begin(), entries_.end(),
+                             Entry{key, DataSize::zero()});
+  if (it->first != key) it = entries_.insert(it, {key, DataSize::zero()});
+  it->second += size;
 }
 
 DataSize TrafficMatrix::at(RackId src, RackId dst) const {
-  auto it = entries_.find({src, dst});
-  return it == entries_.end() ? DataSize::zero() : it->second;
+  const Key key{src, dst};
+  auto it = std::lower_bound(entries_.begin(), entries_.end(),
+                             Entry{key, DataSize::zero()});
+  return it != entries_.end() && it->first == key ? it->second
+                                                  : DataSize::zero();
 }
 
 DataSize TrafficMatrix::total() const {
@@ -24,48 +36,37 @@ DataSize TrafficMatrix::total() const {
   return t;
 }
 
-DataSize TrafficMatrix::row_sum(RackId src) const {
-  DataSize t = DataSize::zero();
+std::vector<TrafficMatrix::Line> TrafficMatrix::lines() const {
+  std::vector<Line> out;
+  out.reserve(2 * entries_.size());
+  // Rows: entries are source-major, so each row is one contiguous run.
   for (const auto& [key, size] : entries_) {
-    if (key.first == src) t += size;
+    if (out.empty() || out.back().rack != key.first) {
+      out.push_back({true, key.first, DataSize::zero(), 0});
+    }
+    out.back().sum += size;
+    ++out.back().degree;
   }
-  return t;
-}
-
-DataSize TrafficMatrix::col_sum(RackId dst) const {
-  DataSize t = DataSize::zero();
+  if (out.empty()) return out;
+  // Columns: one slot per entry, sorted by destination and merged in place.
+  // Byte sums are exact integers, so the merge order cannot change them.
+  const auto cols = static_cast<std::ptrdiff_t>(out.size());
   for (const auto& [key, size] : entries_) {
-    if (key.second == dst) t += size;
+    out.push_back({false, key.second, size, 1});
   }
-  return t;
-}
-
-std::size_t TrafficMatrix::row_degree(RackId src) const {
-  std::size_t n = 0;
-  for (const auto& [key, size] : entries_) {
-    if (key.first == src) ++n;
+  std::sort(out.begin() + cols, out.end(),
+            [](const Line& a, const Line& b) { return a.rack < b.rack; });
+  auto last = out.begin() + cols;
+  for (auto it = last + 1; it != out.end(); ++it) {
+    if (it->rack == last->rack) {
+      last->sum += it->sum;
+      ++last->degree;
+    } else {
+      *++last = *it;
+    }
   }
-  return n;
-}
-
-std::size_t TrafficMatrix::col_degree(RackId dst) const {
-  std::size_t n = 0;
-  for (const auto& [key, size] : entries_) {
-    if (key.second == dst) ++n;
-  }
-  return n;
-}
-
-std::vector<RackId> TrafficMatrix::sources() const {
-  std::set<RackId> s;
-  for (const auto& [key, size] : entries_) s.insert(key.first);
-  return {s.begin(), s.end()};
-}
-
-std::vector<RackId> TrafficMatrix::destinations() const {
-  std::set<RackId> s;
-  for (const auto& [key, size] : entries_) s.insert(key.second);
-  return {s.begin(), s.end()};
+  out.erase(last + 1, out.end());
+  return out;
 }
 
 }  // namespace cosched

@@ -1,7 +1,6 @@
 #include "fabric/baseline_fabrics.h"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 
 #include "coflow/traffic_matrix.h"
@@ -162,19 +161,22 @@ Duration RingFabric::cct_lower_bound(const TrafficMatrix& matrix) const {
   };
   // Per source, accumulate hop-weighted egress busy time in Duration space
   // (the hop-weighted byte sum could overflow int64 on large matrices).
-  std::map<RackId, Duration> busy;
-  for (const auto& entry : matrix.entries()) {
-    const RackId src = entry.first.first;
-    const RackId dst = entry.first.second;
+  // Entries are source-major, so each row's sum is one running total; it
+  // only grows, so its maximum is the row's final sum.
+  Duration bound = Duration::zero();
+  Duration busy = Duration::zero();
+  RackId row = RackId::invalid();
+  for (const auto& [key, size] : matrix.entries()) {
+    const auto [src, dst] = key;
+    if (src != row) busy = Duration::zero();
+    row = src;
     const std::int32_t h =
         in_topology(src) && in_topology(dst) && src != dst
             ? hops(src, dst)
             : 1;
-    busy[src] = busy[src] + transfer_time(entry.second, link_rate()) *
-                                static_cast<double>(h);
+    busy = busy + transfer_time(size, link_rate()) * static_cast<double>(h);
+    bound = std::max(bound, busy);
   }
-  Duration bound = Duration::zero();
-  for (const auto& e : busy) bound = std::max(bound, e.second);
   return bound;
 }
 

@@ -29,13 +29,8 @@ Duration OcsFabric::cct_lower_bound(const TrafficMatrix& matrix) const {
         delta * std::ceil(static_cast<double>(degree) / k);
     return std::max(busy, setups);
   };
-  for (RackId src : matrix.sources()) {
-    bound = std::max(bound,
-                     port(matrix.row_sum(src), matrix.row_degree(src)));
-  }
-  for (RackId dst : matrix.destinations()) {
-    bound = std::max(bound,
-                     port(matrix.col_sum(dst), matrix.col_degree(dst)));
+  for (const TrafficMatrix::Line& line : matrix.lines()) {
+    bound = std::max(bound, port(line.sum, line.degree));
   }
   // A flow rides exactly one circuit on one plane: extra planes never
   // shorten a single transfer below setup + full drain.

@@ -42,13 +42,8 @@ Duration RotorFabric::cct_lower_bound(const TrafficMatrix& matrix) const {
     return std::max(drain, tail);
   };
   Duration bound = Duration::zero();
-  for (RackId src : matrix.sources()) {
-    bound = std::max(bound,
-                     port(matrix.row_sum(src), matrix.row_degree(src)));
-  }
-  for (RackId dst : matrix.destinations()) {
-    bound = std::max(bound,
-                     port(matrix.col_sum(dst), matrix.col_degree(dst)));
+  for (const TrafficMatrix::Line& line : matrix.lines()) {
+    bound = std::max(bound, port(line.sum, line.degree));
   }
   return bound;
 }

@@ -37,29 +37,27 @@ std::vector<PossibleSchedule> possible_reduce_schedules_incremental(
        static_cast<std::int64_t>(num_reduces),
        static_cast<std::int64_t>(max_racks)}));
 
+  // Aggregation floor: rack j needs d_j reduces so that
+  // SM_1 * d_j / num_reduces >= T_e.
+  const auto d_min = static_cast<std::int32_t>(std::ceil(
+      static_cast<double>(elephant_threshold.in_bytes()) *
+      static_cast<double>(num_reduces) /
+      static_cast<double>(sm_min.in_bytes())));
+  const auto m = static_cast<std::int64_t>(sorted.size());
+  TrafficMatrix surrogate;
   for (std::int32_t r_red = 1; r_red <= r_red_max; ++r_red) {
-    // Aggregation floor: rack j needs d_j reduces so that
-    // SM_1 * d_j / num_reduces >= T_e.
-    const auto d_min = static_cast<std::int32_t>(std::ceil(
-        static_cast<double>(elephant_threshold.in_bytes()) *
-        static_cast<double>(num_reduces) /
-        static_cast<double>(sm_min.in_bytes())));
     if (static_cast<std::int64_t>(d_min) * r_red > num_reduces) {
-      continue;  // cannot aggregate every rack past the threshold
+      break;  // cannot aggregate every rack past the threshold, nor beyond
     }
 
     // Start every rack at the floor, then feed the remaining tasks to the
     // currently least-loaded rack (received data is proportional to d_j, so
     // least-loaded = smallest d_j). This minimizes max_j col-sum and hence
-    // the lower bound.
-    std::vector<std::int32_t> d(static_cast<std::size_t>(r_red), d_min);
-    std::int32_t rem = num_reduces - d_min * r_red;
-    std::size_t next = 0;
-    while (rem > 0) {
-      d[next] += 1;
-      next = (next + 1) % d.size();
-      --rem;
-    }
+    // the lower bound. That round-robin fill, in closed form:
+    const std::int32_t rem = num_reduces - d_min * r_red;
+    std::vector<std::int32_t> d(static_cast<std::size_t>(r_red),
+                                d_min + rem / r_red);
+    std::fill_n(d.begin(), rem % r_red, d_min + rem / r_red + 1);
 
     // The candidate's T(C) is `bound` over the full m x r_red matrix
     //   c_ij = sorted[i] * (d[j] / num_reduces)    (exact int64, llround),
@@ -75,19 +73,20 @@ std::vector<PossibleSchedule> possible_reduce_schedules_incremental(
     // verbatim per-entry expressions, the shared corner entry added once —
     // yields a surrogate whose extra lines (degree 1, dominated sums)
     // never bind, so `bound` over it reproduces the full-matrix value bit
-    // for bit in O(m + R_red) entries per candidate.
-    TrafficMatrix surrogate;
-    const auto m = static_cast<std::int64_t>(sorted.size());
-    for (std::size_t j = 0; j < d.size(); ++j) {
-      surrogate.add(RackId{m - 1}, RackId{static_cast<std::int64_t>(1000000 + j)},
-                    sorted.back() * (static_cast<double>(d[j]) /
-                                     static_cast<double>(num_reduces)));
-    }
+    // for bit in O(m + R_red) entries per candidate. Rows 0..m-2 go first
+    // so every add appends in key order.
+    surrogate.clear();
     const double d_max_share = static_cast<double>(d[0]) /
                                static_cast<double>(num_reduces);
     for (std::size_t i = 0; i + 1 < sorted.size(); ++i) {
       surrogate.add(RackId{static_cast<std::int64_t>(i)}, RackId{1000000},
                     sorted[i] * d_max_share);
+    }
+    for (std::size_t j = 0; j < d.size(); ++j) {
+      surrogate.add(RackId{m - 1},
+                    RackId{static_cast<std::int64_t>(1000000 + j)},
+                    sorted.back() * (static_cast<double>(d[j]) /
+                                     static_cast<double>(num_reduces)));
     }
 
     PossibleSchedule ps;

@@ -8,6 +8,7 @@
 // fabric charges (docs/FABRICS.md, "The bound contract").
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -15,6 +16,7 @@
 
 #include "coflow/cct_bound.h"
 #include "coflow/traffic_matrix.h"
+#include "common/rng.h"
 #include "fabric/baseline_fabrics.h"
 #include "fabric/ocs_fabric.h"
 #include "fabric/rotor_fabric.h"
@@ -175,9 +177,65 @@ TEST(CctBoundFabric, RingClampsAbstractRackIdsToOneHop) {
   EXPECT_DOUBLE_EQ(ring.cct_lower_bound(m).sec(), 2.0);
 }
 
+// The flat matrix keeps its entries sorted whatever order they arrive in,
+// so every bound — built from one-pass line sums, per-entry terms or the
+// ring's per-row running sums — is bit-identical over a shuffled and a
+// sorted build of the same demand, repeated pairs included.
+TEST(CctBoundFabric, BoundsAreBitIdenticalOverShuffledAndSortedBuilds) {
+  Simulator sim;
+  const HybridTopology topo = test_topo();
+  const OcsFabric ocs3(sim, topo, 3);
+  const RotorFabric rotor(sim, topo, Duration::milliseconds(100));
+  const MeshFabric mesh(sim, topo);
+  const RingFabric ring(sim, topo);
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    Rng rng(seed);
+    std::vector<std::pair<TrafficMatrix::Key, DataSize>> adds;
+    const std::int64_t n = rng.uniform_int(1, 40);
+    for (std::int64_t k = 0; k < n; ++k) {
+      // Mostly in-topology racks, some PSRT-style abstract destinations.
+      const RackId src{rng.uniform_int(0, 7)};
+      const RackId dst{rng.bernoulli(0.2) ? 1000000 + rng.uniform_int(0, 3)
+                                          : rng.uniform_int(0, 7)};
+      adds.push_back(
+          {{src, dst}, DataSize::bytes(rng.uniform_int(1, 3'000'000'000))});
+    }
+    std::vector<std::pair<TrafficMatrix::Key, DataSize>> in_order = adds;
+    std::stable_sort(in_order.begin(), in_order.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    rng.shuffle(adds);
+    TrafficMatrix shuffled, sorted;
+    for (const auto& [key, size] : adds) {
+      shuffled.add(key.first, key.second, size);
+    }
+    for (const auto& [key, size] : in_order) {
+      sorted.add(key.first, key.second, size);
+    }
+    ASSERT_EQ(shuffled.entries(), sorted.entries()) << "seed " << seed;
+    EXPECT_EQ(bits(cct_lower_bound(shuffled, topo.ocs_link,
+                                   topo.ocs_reconfig_delay)
+                       .sec()),
+              bits(cct_lower_bound(sorted, topo.ocs_link,
+                                   topo.ocs_reconfig_delay)
+                       .sec()))
+        << "seed " << seed;
+    for (const Fabric* fabric :
+         std::vector<const Fabric*>{&ocs3, &rotor, &mesh, &ring}) {
+      EXPECT_EQ(bits(fabric->cct_lower_bound(shuffled).sec()),
+                bits(fabric->cct_lower_bound(sorted).sec()))
+          << fabric->name() << " seed " << seed;
+    }
+  }
+}
+
 // The incremental PSRT evaluates the fabric bound on a surrogate matrix of
 // just the binding row and column (coscheduler.h); that collapse must be
-// bit-exact under every fabric's formula, not only the legacy one.
+// bit-exact under every fabric's formula, not only the legacy one. The grid
+// covers a closed-form fill with rem >= R_red (several tasks past the floor
+// per rack) and the R_red past which d_min * R_red > num_reduces, where
+// the incremental loop stops and the reference skips every larger R_red.
 TEST(CctBoundFabric, PsrtIncrementalSurrogateMatchesReferencePerFabric) {
   Simulator sim;
   const HybridTopology topo = test_topo();
@@ -188,32 +246,66 @@ TEST(CctBoundFabric, PsrtIncrementalSurrogateMatchesReferencePerFabric) {
   const RingFabric ring(sim, topo);
   const std::vector<const Fabric*> fabrics = {&ocs1, &ocs4, &rotor, &mesh,
                                               &ring};
-  const std::vector<DataSize> sm = {DataSize::gigabytes(3),
-                                    DataSize::gigabytes(2),
-                                    DataSize::gigabytes(5)};
-  for (const Fabric* fabric : fabrics) {
-    const std::vector<CctBoundFn> bounds = {
-        [fabric](const TrafficMatrix& matrix) {
-          return fabric->cct_lower_bound(matrix);
-        },
-        [fabric](const TrafficMatrix& matrix) {
-          return fabric->placement_cost(matrix);
-        }};
-    for (const CctBoundFn& bound : bounds) {
-      const auto reference = possible_reduce_schedules(
-          sm, 7, topo.elephant_threshold, bound, topo.num_racks);
-      const auto incremental = possible_reduce_schedules_incremental(
-          sm, 7, topo.elephant_threshold, bound, topo.num_racks);
-      ASSERT_EQ(reference.size(), incremental.size()) << fabric->name();
-      ASSERT_FALSE(reference.empty()) << fabric->name();
-      for (std::size_t i = 0; i < reference.size(); ++i) {
-        EXPECT_EQ(reference[i].d, incremental[i].d) << fabric->name();
-        EXPECT_EQ(bits(reference[i].cct.sec()),
-                  bits(incremental[i].cct.sec()))
-            << fabric->name() << " candidate " << i;
+  struct Case {
+    std::vector<DataSize> sm;
+    std::int32_t num_reduces;
+  };
+  const std::vector<Case> grid = {
+      // d_min = 4: R_red = 1 leaves rem = 3, R_red = 2 needs 8 > 7.
+      {{DataSize::gigabytes(3), DataSize::gigabytes(2),
+        DataSize::gigabytes(5)},
+       7},
+      // d_min = 4, R_red up to 5 (rem = 15 at R_red = 2); 6 * 4 > 23.
+      {{DataSize::gigabytes(6), DataSize::gigabytes(8), DataSize::gigabytes(7),
+        DataSize::gigabytes(9)},
+       23},
+      // One map rack, d_min = 1: rem runs 2, 1, 0 with no cutoff.
+      {{DataSize::gigabytes(4)}, 3},
+  };
+  bool saw_wide_fill = false;
+  bool saw_cutoff = false;
+  for (const Case& c : grid) {
+    const DataSize sm_min = *std::min_element(c.sm.begin(), c.sm.end());
+    const std::int64_t r_red_max = std::min<std::int64_t>(
+        {sm_min.in_bytes() / topo.elephant_threshold.in_bytes(),
+         c.num_reduces, topo.num_racks});
+    // ceil(T_e * num_reduces / SM_1), exact for these whole-GB inputs.
+    const std::int64_t d_min =
+        (topo.elephant_threshold.in_bytes() * c.num_reduces +
+         sm_min.in_bytes() - 1) /
+        sm_min.in_bytes();
+    for (const Fabric* fabric : fabrics) {
+      const std::vector<CctBoundFn> bounds = {
+          [fabric](const TrafficMatrix& matrix) {
+            return fabric->cct_lower_bound(matrix);
+          },
+          [fabric](const TrafficMatrix& matrix) {
+            return fabric->placement_cost(matrix);
+          }};
+      for (const CctBoundFn& bound : bounds) {
+        const auto reference = possible_reduce_schedules(
+            c.sm, c.num_reduces, topo.elephant_threshold, bound,
+            topo.num_racks);
+        const auto incremental = possible_reduce_schedules_incremental(
+            c.sm, c.num_reduces, topo.elephant_threshold, bound,
+            topo.num_racks);
+        ASSERT_EQ(reference.size(), incremental.size()) << fabric->name();
+        ASSERT_FALSE(reference.empty()) << fabric->name();
+        saw_cutoff |= static_cast<std::int64_t>(reference.size()) < r_red_max;
+        for (std::size_t i = 0; i < reference.size(); ++i) {
+          EXPECT_EQ(reference[i].d, incremental[i].d) << fabric->name();
+          EXPECT_EQ(bits(reference[i].cct.sec()),
+                    bits(incremental[i].cct.sec()))
+              << fabric->name() << " candidate " << i;
+          const auto r_red =
+              static_cast<std::int64_t>(reference[i].d.size());
+          saw_wide_fill |= c.num_reduces - d_min * r_red >= r_red;
+        }
       }
     }
   }
+  EXPECT_TRUE(saw_wide_fill);
+  EXPECT_TRUE(saw_cutoff);
 }
 
 // PSRT/SBS minimize Fabric::placement_cost. Every fabric but the rotor

@@ -30,13 +30,85 @@ TEST(TrafficMatrix, AccumulatesAndSums) {
   m.add(RackId{1}, RackId{2}, DataSize::gigabytes(8));
   EXPECT_EQ(m.num_entries(), 3u);
   EXPECT_NEAR(m.at(RackId{0}, RackId{1}).in_gigabytes(), 3.0, 1e-9);
-  EXPECT_NEAR(m.row_sum(RackId{0}).in_gigabytes(), 7.0, 1e-9);
-  EXPECT_NEAR(m.col_sum(RackId{2}).in_gigabytes(), 12.0, 1e-9);
   EXPECT_NEAR(m.total().in_gigabytes(), 15.0, 1e-9);
-  EXPECT_EQ(m.row_degree(RackId{0}), 2u);
-  EXPECT_EQ(m.col_degree(RackId{2}), 2u);
-  EXPECT_EQ(m.sources(), (std::vector<RackId>{RackId{0}, RackId{1}}));
-  EXPECT_EQ(m.destinations(), (std::vector<RackId>{RackId{1}, RackId{2}}));
+  // Rows (sources 0, 1), then columns (destinations 1, 2).
+  const std::vector<TrafficMatrix::Line> lines = m.lines();
+  ASSERT_EQ(lines.size(), 4u);
+  const TrafficMatrix::Line& row0 = lines[0];
+  const TrafficMatrix::Line& col2 = lines[3];
+  EXPECT_TRUE(row0.is_row);
+  EXPECT_EQ(row0.rack, RackId{0});
+  EXPECT_NEAR(row0.sum.in_gigabytes(), 7.0, 1e-9);
+  EXPECT_EQ(row0.degree, 2u);
+  EXPECT_FALSE(col2.is_row);
+  EXPECT_EQ(col2.rack, RackId{2});
+  EXPECT_NEAR(col2.sum.in_gigabytes(), 12.0, 1e-9);
+  EXPECT_EQ(col2.degree, 2u);
+  std::vector<RackId> sources, destinations;
+  for (const TrafficMatrix::Line& line : lines) {
+    (line.is_row ? sources : destinations).push_back(line.rack);
+  }
+  EXPECT_EQ(sources, (std::vector<RackId>{RackId{0}, RackId{1}}));
+  EXPECT_EQ(destinations, (std::vector<RackId>{RackId{1}, RackId{2}}));
+}
+
+// Random matrices added in shuffled order — repeated pairs, zero-size adds
+// and keys below the current last — keep `entries()` strictly sorted and
+// unique, and `lines()` equal to a brute-force per-line sum and degree.
+TEST(TrafficMatrix, ShuffledBuildsMatchBruteForceLines) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const std::int64_t racks = rng.uniform_int(1, 12);
+    std::vector<std::pair<TrafficMatrix::Key, DataSize>> adds;
+    const std::int64_t n = rng.uniform_int(0, 60);
+    for (std::int64_t k = 0; k < n; ++k) {
+      const TrafficMatrix::Key key{RackId{rng.uniform_int(0, racks - 1)},
+                                   RackId{rng.uniform_int(0, racks - 1)}};
+      const DataSize size = rng.bernoulli(0.15)
+                                ? DataSize::zero()
+                                : DataSize::bytes(rng.uniform_int(1, 1000));
+      adds.emplace_back(key, size);
+    }
+    rng.shuffle(adds);
+    TrafficMatrix m;
+    std::map<TrafficMatrix::Key, DataSize> expect;
+    for (const auto& [key, size] : adds) {
+      m.add(key.first, key.second, size);
+      if (!size.is_zero()) expect[key] += size;
+    }
+
+    ASSERT_EQ(m.num_entries(), expect.size()) << "seed " << seed;
+    for (std::size_t i = 1; i < m.entries().size(); ++i) {
+      EXPECT_LT(m.entries()[i - 1].first, m.entries()[i].first)
+          << "seed " << seed;
+    }
+    for (const auto& [key, size] : expect) {
+      EXPECT_EQ(m.at(key.first, key.second), size) << "seed " << seed;
+    }
+
+    std::map<RackId, TrafficMatrix::Line> rows, cols;
+    for (const auto& [key, size] : expect) {
+      TrafficMatrix::Line& row = rows[key.first];
+      row = {true, key.first, row.sum + size, row.degree + 1};
+      TrafficMatrix::Line& col = cols[key.second];
+      col = {false, key.second, col.sum + size, col.degree + 1};
+    }
+    std::vector<TrafficMatrix::Line> brute;
+    for (const auto& [rack, line] : rows) brute.push_back(line);
+    for (const auto& [rack, line] : cols) brute.push_back(line);
+    EXPECT_EQ(m.lines(), brute) << "seed " << seed;
+  }
+}
+
+TEST(TrafficMatrix, ClearKeepsNothing) {
+  TrafficMatrix m;
+  m.add(RackId{2}, RackId{3}, DataSize::bytes(5));
+  m.clear();
+  EXPECT_TRUE(m.empty());
+  EXPECT_TRUE(m.lines().empty());
+  m.add(RackId{0}, RackId{1}, DataSize::bytes(7));
+  EXPECT_EQ(m.at(RackId{0}, RackId{1}), DataSize::bytes(7));
+  EXPECT_EQ(m.at(RackId{2}, RackId{3}), DataSize::zero());
 }
 
 TEST(TrafficMatrix, ZeroDemandIsIgnored) {
@@ -167,11 +239,8 @@ void verify_clearance(const TrafficMatrix& matrix, Bandwidth bw) {
 
   // 1. Transfer time equals the bandwidth term of the lower bound.
   Duration expected = Duration::zero();
-  for (RackId r : matrix.sources()) {
-    expected = std::max(expected, transfer_time(matrix.row_sum(r), bw));
-  }
-  for (RackId r : matrix.destinations()) {
-    expected = std::max(expected, transfer_time(matrix.col_sum(r), bw));
+  for (const TrafficMatrix::Line& line : matrix.lines()) {
+    expected = std::max(expected, transfer_time(line.sum, bw));
   }
   EXPECT_NEAR(sched.transfer_time().sec(), expected.sec(), 1e-9);
 

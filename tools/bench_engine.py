@@ -3,9 +3,9 @@
 
 Two modes:
 
-  run    (default) Execute bench_micro_net, bench_micro_simcore, and
-         bench_micro_sched from a build directory, merge the fresh numbers
-         with the committed pre-optimization baselines
+  run    (default) Execute the SUITES below (bench_micro_net, _simcore,
+         _sched, _dispatch and _coflow) from a build directory, merge the
+         fresh numbers with the committed pre-optimization baselines
          (results/bench_*_before.json), compute per-benchmark speedups,
          and write BENCH_engine.json.
 
@@ -37,6 +37,7 @@ SUITES = {
     "bench_micro_simcore": "results/bench_simcore_before.json",
     "bench_micro_sched": "results/bench_sched_before.json",
     "bench_micro_dispatch": "results/bench_dispatch_before.json",
+    "bench_micro_coflow": "results/bench_coflow_before.json",
 }
 
 _NS_PER = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}

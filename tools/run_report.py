@@ -3,6 +3,7 @@
 
 Usage:
   tools/run_report.py check  REPORT [--require-phases p1,p2,...]
+                             [--max-rss-gb=GIB] [--max-unattributed=FRACTION]
   tools/run_report.py show   REPORT [--phases]
   tools/run_report.py diff   REPORT_A REPORT_B [--tolerance=REL]
 
@@ -10,7 +11,9 @@ Usage:
 a v3 report: no phase's self_ns exceeds its total_ns, and the phases'
 summed self time fits inside wall_time_sec.  Pass --require-phases to also
 demand that the named PerfMonitor phases recorded samples with size
-attribution.  `show` prints a human summary with the phases sorted by self
+attribution, and --max-unattributed=FRACTION to fail when the wall time
+no phase claims (wall minus summed self time) exceeds that fraction of
+wall time.  `show` prints a human summary with the phases sorted by self
 time and an `unattributed` row (wall time minus summed self time).  `diff`
 compares the result metrics of two reports of any version (wall-clock
 fields are informational only and never diffed), failing if any metric
@@ -155,6 +158,22 @@ def self_time_ns(doc):
     return sum(p.get("self_ns", 0) for p in doc.get("phases", []))
 
 
+def check_unattributed(doc, max_fraction, errors):
+    """Floor on attribution: the wall time outside every phase's self time
+    may be at most `max_fraction` of the run."""
+    if doc.get("version", 0) < 3:
+        errors.append("--max-unattributed needs per-phase self_ns "
+                      "(a v3 report)")
+        return
+    wall_ns = doc["wall_time_sec"] * 1e9
+    if wall_ns <= 0:
+        return
+    share = (wall_ns - self_time_ns(doc)) / wall_ns
+    if share > max_fraction:
+        errors.append(f"unattributed time is {share:.1%} of wall, over "
+                      f"--max-unattributed={max_fraction}")
+
+
 def check_required_phases(doc, required, errors):
     by_name = {p.get("name"): p for p in doc.get("phases", [])}
     for name in required:
@@ -189,6 +208,8 @@ def cmd_check(args):
         if rss_gb > args.max_rss_gb:
             errors.append(f"rss_high_water {rss_gb:.2f}GB exceeds "
                           f"--max-rss-gb={args.max_rss_gb}")
+    if args.max_unattributed > 0:
+        check_unattributed(doc, args.max_unattributed, errors)
     if errors:
         for e in errors:
             print(f"FAIL {args.report}: {e}", file=sys.stderr)
@@ -320,6 +341,10 @@ def main():
                          help="fail if the run's peak RSS (VmHWM) exceeds "
                               "this many GiB (0 = no limit); the CI "
                               "scale-smoke memory-regression guard")
+    p_check.add_argument("--max-unattributed", type=float, default=0.0,
+                         help="fail if wall time minus summed phase self "
+                              "time exceeds this fraction of wall time "
+                              "(0 = no limit); needs a v3 report")
     p_check.set_defaults(func=cmd_check)
 
     p_show = sub.add_parser("show", help="human-readable summary")

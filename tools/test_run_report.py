@@ -2,8 +2,8 @@
 """Unit tests for tools/run_report.py (run by ctest as `run_report_py`).
 
 Covers the schema versions `check` accepts, the v3 self-time bounds, the
-`show` ordering and its `unattributed` row, and that `diff` matches a v2
-report against a v3 report of the same run.
+--max-unattributed floor, the `show` ordering and its `unattributed` row,
+and that `diff` matches a v2 report against a v3 report of the same run.
 
     python3 tools/test_run_report.py
 """
@@ -135,6 +135,23 @@ class RunReportTest(unittest.TestCase):
         self.assertIn("exceeds wall_time_sec", res.stderr)
         doc["wall_time_sec"] = 0.9  # equal is fine
         self.assertEqual(self.check(doc).returncode, 0)
+
+    def test_max_unattributed_floor(self):
+        path = self.write("r.json", v3_report())  # 10% unattributed
+        res = self.run_tool("check", path, "--max-unattributed=0.10")
+        self.assertEqual(res.returncode, 0, res.stderr)
+        res = self.run_tool("check", path, "--max-unattributed=0.05")
+        self.assertEqual(res.returncode, 1)
+        self.assertIn("unattributed time is 10.0% of wall", res.stderr)
+        # The default (0) is off, however little the phases cover.
+        doc = v3_report()
+        doc["wall_time_sec"] = 10.0
+        self.assertEqual(self.check(doc).returncode, 0)
+        # A report without self time cannot satisfy the floor.
+        res = self.run_tool("check", self.write("v2.json", v2_report()),
+                            "--max-unattributed=0.5")
+        self.assertEqual(res.returncode, 1)
+        self.assertIn("needs per-phase self_ns", res.stderr)
 
     def test_show_sorts_by_self_time_and_prints_unattributed(self):
         res = self.run_tool("show", self.write("r.json", v3_report()))
