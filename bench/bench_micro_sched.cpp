@@ -1,7 +1,8 @@
 // Microbenchmarks for the scheduler decision engine: end-to-end dispatch
 // cost of whole runs under the product Co-scheduler vs the test-side
 // ReferenceCoScheduler (tests/oracles/), one SBS exploration pass under
-// both explore implementations, and BestRackHeap churn. The paired *Reference benchmarks run in the same binary, so their
+// both explore implementations, OCAS re-offers after a grant, and
+// BestRackHeap churn. The paired *Reference benchmarks run in the same binary, so their
 // ratio is immune to machine-speed differences (the same trick as
 // bench_micro_net's EPS replan pair); tools/bench_engine.py extracts it
 // into BENCH_engine.json.
@@ -14,8 +15,11 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
+#include <optional>
 #include <vector>
 
+#include "cluster/cluster.h"
 #include "oracles/reference_coscheduler.h"
 #include "sched/best_rack_heap.h"
 #include "sched/coscheduler.h"
@@ -148,6 +152,93 @@ void BM_SbsExplorePassReference(benchmark::State& state) {
                           static_cast<std::int64_t>(schedules.size()));
 }
 BENCHMARK(BM_SbsExplorePassReference);
+
+// ---- OCAS: the re-offers of a dispatch wave after one grant. ------------
+
+class NoWaitAvailability : public AvailabilityOracle {
+ public:
+  Duration estimate_availability(RackId, std::int64_t) override {
+    return Duration::zero();
+  }
+};
+
+// 40 guided shuffle-heavy jobs of 10 users, each with pending maps local
+// only to its 4 guideline racks (among racks 0-7), which all keep free
+// containers, so racks 8 and up decline. One iteration grants rack 0 a map
+// and re-offers racks 8 and up, as a wave does after a grant. The grant is
+// then killed and requeued untimed, and those racks re-offered once so
+// each starts the next iteration having declined.
+void BM_OcasWaveAfterGrant(benchmark::State& state) {
+  HybridTopology topo;
+  topo.num_racks = static_cast<std::int32_t>(state.range(0));
+  topo.servers_per_rack = 2;
+  topo.slots_per_server = 4;
+  Cluster cluster(topo);
+  IdAllocator<TaskId> task_ids;
+  std::vector<std::unique_ptr<Job>> jobs;
+  std::vector<Job*> active;
+  NoWaitAvailability oracle;
+  Rng rng(3);
+  SchedContext ctx{SimTime::zero(), topo, cluster, active, oracle, rng};
+  CoScheduler sched(CoScheduler::Options{.enable_reduce_planning = false});
+  constexpr std::int32_t kMaps = 64;
+  for (std::int64_t j = 0; j < 40; ++j) {
+    JobSpec spec;
+    spec.id = JobId{j};
+    spec.user = UserId{j % 10};
+    spec.num_maps = kMaps;
+    spec.num_reduces = 4;
+    spec.input_size = DataSize::gigabytes(200);
+    spec.sir = 1.0;
+    spec.map_durations.assign(kMaps, Duration::seconds(10));
+    spec.reduce_durations.assign(4, Duration::seconds(10));
+    jobs.push_back(std::make_unique<Job>(spec, topo.elephant_threshold,
+                                         task_ids, CoflowId{j}));
+    Job& job = *jobs.back();
+    active.push_back(&job);
+    sched.on_job_submitted(job, ctx);
+    std::vector<RackId> guideline;
+    for (std::int64_t g = 0; g < 4; ++g) guideline.push_back(RackId{(j + g) % 8});
+    std::vector<BlockReplicas> blocks(kMaps);
+    for (std::int32_t b = 0; b < kMaps; ++b) {
+      blocks[static_cast<std::size_t>(b)].racks = {
+          guideline[static_cast<std::size_t>(b % 4)]};
+    }
+    job.set_block_placement(std::move(blocks));
+    job.set_r_map_guideline(4);
+    job.set_guideline_map_racks(std::move(guideline));
+  }
+  const auto offer_others = [&] {
+    for (std::int32_t r = 8; r < topo.num_racks; ++r) {
+      benchmark::DoNotOptimize(sched.pick_task(RackId{r}, ctx));
+    }
+  };
+  offer_others();
+  for (auto _ : state) {
+    const std::optional<TaskChoice> grant = sched.pick_task(RackId{0}, ctx);
+    if (!grant.has_value()) {
+      state.SkipWithError("rack 0 declined");
+      break;
+    }
+    Job& job = *grant->job;
+    Task& task = *grant->task;
+    const NodeId node = cluster.allocate_slot(RackId{0});
+    task.place(RackId{0}, node, SimTime::zero());
+    job.note_map_placed(RackId{0});
+    sched.on_task_placed(job, task, RackId{0});
+    offer_others();
+
+    state.PauseTiming();
+    cluster.release_slot(RackId{0}, node);
+    task.reset_for_retry();
+    job.requeue_map(task.index());
+    sched.on_task_requeued(job, task, RackId{0});
+    offer_others();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * (topo.num_racks - 8));
+}
+BENCHMARK(BM_OcasWaveAfterGrant)->Arg(60)->Arg(256);
 
 // ---- BestRackHeap: update + pop churn at paper scale. -------------------
 

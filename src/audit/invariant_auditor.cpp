@@ -440,6 +440,13 @@ void InvariantAuditor::check_conservation() const {
   }
 }
 
+void InvariantAuditor::check_open_flows(const Job& job) {
+  if (const std::string report = job.coflow().audit_open_flows();
+      !report.empty()) {
+    fail("open-flow-tally", report);
+  }
+}
+
 void InvariantAuditor::check_light() {
   ++checks_run_;
   for (std::int32_t r = 0; r < topo_.num_racks; ++r) {

@@ -63,6 +63,13 @@
 //      finished job is freed at completion, never kept to the end of the
 //      run. Checked at dispatch boundaries; at end of run the fabric must
 //      hold no coflow entry either.
+//   9. Incremental bookkeeping — a coflow's open-flow tally (in total and
+//      per destination rack, what reduce-fetch and coflow completion read
+//      instead of scanning) equals a recount over its flows, checked at
+//      every flow completion. The circuit fabric's own change-driven
+//      state (Sunflow's skipped (coflow, plane) pairs, sorted pending
+//      prefixes, per-rack counts) is re-derived during each pass in
+//      audited runs and surfaces through Fabric::self_check().
 #pragma once
 
 #include <cstdint>
@@ -148,6 +155,8 @@ class InvariantAuditor {
   /// self-report (free-set vs cluster free_slots, decline-stamp sanity) so
   /// the audit library stays independent of sim headers. Empty = coherent.
   void check_offer_queue(const std::string& report);
+  /// Invariant 9: `job`'s open-flow tally equals a recount.
+  void check_open_flows(const Job& job);
   /// Invariant 8: the driver retains exactly its active jobs.
   void check_job_retention(std::size_t retained_jobs, std::size_t active_jobs);
   /// End-of-run: heavy check plus emptiness — no granted containers, no

@@ -1,5 +1,8 @@
 #include "coflow/coflow.h"
 
+#include <algorithm>
+#include <sstream>
+
 #include "common/check.h"
 
 namespace cosched {
@@ -15,6 +18,7 @@ std::pair<Flow*, bool> Coflow::add_demand(IdAllocator<FlowId>& ids, RackId src,
   flows_.push_back(
       std::make_unique<Flow>(ids.next(), id_, job_, src, dst, size));
   Flow* flow = flows_.back().get();
+  flow->set_tally(&open_);
   by_pair_[{src, dst}] = flow;
   return {flow, true};
 }
@@ -33,11 +37,23 @@ TrafficMatrix Coflow::cross_rack_matrix() const {
   return m;
 }
 
-bool Coflow::all_flows_complete() const {
+std::string Coflow::audit_open_flows() const {
+  OpenFlowTally recount;
   for (const auto& f : flows_) {
-    if (!f->completed()) return false;
+    if (!f->completed()) recount.add(f->dst(), 1);
   }
-  return true;
+  const std::size_t racks = std::max(recount.by_dst.size(), open_.by_dst.size());
+  for (std::size_t d = 0; d < racks; ++d) {
+    const RackId dst{static_cast<RackId::value_type>(d)};
+    if (recount.to(dst) != open_.to(dst)) {
+      std::ostringstream os;
+      os << "coflow " << id_ << " tallies " << open_.to(dst)
+         << " open flows into rack " << d << " but " << recount.to(dst)
+         << " are incomplete";
+      return os.str();
+    }
+  }
+  return {};  // the totals are sums of the per-rack counts
 }
 
 DataSize Coflow::total_demand() const {

@@ -9,6 +9,7 @@
 
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "coflow/cct_bound.h"
@@ -46,7 +47,15 @@ class Coflow {
     return cct_lower_bound(cross_rack_matrix(), bw, delta);
   }
 
-  [[nodiscard]] bool all_flows_complete() const;
+  /// O(1): the open-flow tally is kept by the flows themselves.
+  [[nodiscard]] bool all_flows_complete() const { return open_.total == 0; }
+  /// Whether every flow into `dst` has drained (O(1)).
+  [[nodiscard]] bool flows_into_done(RackId dst) const {
+    return open_.to(dst) == 0;
+  }
+  /// The tally against a recount over the flows: empty when they agree,
+  /// else the first divergence (the invariant auditor's check).
+  [[nodiscard]] std::string audit_open_flows() const;
 
   /// Mark that the first flows were handed to the network at `now`.
   void mark_released(SimTime now) {
@@ -75,6 +84,7 @@ class Coflow {
   JobId job_;
   std::vector<std::unique_ptr<Flow>> flows_;
   std::map<std::pair<RackId, RackId>, Flow*> by_pair_;
+  OpenFlowTally open_;
   bool released_ = false;
   bool completed_ = false;
   SimTime release_time_ = SimTime::zero();

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -94,9 +95,18 @@ class SunflowScheduler : public CircuitScheduler {
   /// transfer sits on an available plane, and the planes' port states sum
   /// to exactly the transfers in each state (connected ports ==
   /// transferring flows, reconfiguring out-ports == reconfiguring flows).
-  /// Empty string = coherent. Only meaningful while this scheduler is the
-  /// sole driver of the fabric's planes (the simulation driver's setup).
+  /// With set_self_audit on, also the first fault the passes found in their
+  /// own incremental state (see there). Empty string = coherent. Only
+  /// meaningful while this scheduler is the sole driver of the fabric's
+  /// planes (the simulation driver's setup).
   [[nodiscard]] std::string self_check() const;
+
+  /// Audited runs: every pass re-derives what it skipped. Each (coflow,
+  /// plane) a pass skips must have no eligible edge under a from-scratch
+  /// scan, and after the pass every coflow's sorted prefix must be
+  /// (src, dst)-sorted, its pending keys unique and its per-rack counts
+  /// equal to a recount. Read-only: results are unchanged.
+  void set_self_audit(bool on) { self_audit_ = on; }
 
  private:
   enum class TransferState { kReconfiguring, kTransferring };
@@ -114,32 +124,80 @@ class SunflowScheduler : public CircuitScheduler {
   };
 
   struct CoflowEntry {
+    CoflowId id;
     Coflow* coflow;
     double priority_sec;  // T(C) at first submit; smaller = higher priority
+    /// In submit order, except that pending[0, sorted) is (src, dst)-sorted:
+    /// the list as of its last sort, less the flows matched since.
     std::vector<Flow*> pending;
+    std::size_t sorted = 0;
+    /// Pending flows per source / destination rack, and the racks whose
+    /// count is non-zero (in no particular order).
+    std::vector<std::int32_t> src_count;
+    std::vector<std::int32_t> dst_count;
+    std::vector<RackId> srcs;
+    std::vector<RackId> dsts;
+    /// Per plane, the tick_ at which the coflow was last shown to have no
+    /// eligible edge on that plane; 0 = never, or pending grew since.
+    std::vector<std::uint64_t> settled_at;
   };
 
   void request_allocation_pass();
   void allocation_pass();
+  /// Whether `entry` can have an eligible edge on `plane` given the
+  /// current ports and reservations; false proves it has none (the exact
+  /// skip rule of DESIGN.md §4).
+  [[nodiscard]] bool may_match(const CoflowEntry& entry, std::int32_t plane,
+                               const OcsSwitch& sw) const;
+  /// From-scratch eligibility scan (self-audit only).
+  [[nodiscard]] bool has_eligible_edge(const CoflowEntry& entry,
+                                       const OcsSwitch& sw) const;
   /// One coflow x one plane: match the coflow's pending flows against the
-  /// plane's free ports and start the matched transfers. Returns the
-  /// eligibility scan's outcome so the caller can skip empty planes.
-  void match_on_plane(CoflowId cid, CoflowEntry& entry, std::int32_t plane);
+  /// plane's free ports and start the matched transfers.
+  void match_on_plane(CoflowEntry& entry, std::int32_t plane);
+  /// A matched flow left `entry.pending` (its slot is nulled by the
+  /// caller): count it out, and stamp the racks the coflow no longer
+  /// reserves.
+  void note_unpended(CoflowEntry& entry, const Flow& flow);
+  /// Tear down the circuit `flow` holds on `plane` and stamp its ports.
+  void release_circuit(std::int32_t plane, const Flow& flow);
   void start_transfer(FlowId id);
   void on_transfer_complete(FlowId id);
   /// Shared eviction body: settle, credit, tear down, and collect one
   /// active transfer (the map entry is erased by the caller).
   void evict_transfer(ActiveTransfer& at);
+  /// Self-audit after a pass: sortedness, uniqueness and counts.
+  void audit_entries();
+  void note_audit_fault(std::string what) {
+    if (audit_fault_.empty()) audit_fault_ = std::move(what);
+  }
 
   Simulator& sim_;
   Fabric& fabric_;
   std::map<CoflowId, CoflowEntry> entries_;
-  /// Coflow ids in priority order (priority, id) — deterministic.
-  std::vector<CoflowId> order_;
+  /// Entries in priority order (priority, id) — deterministic. std::map
+  /// nodes never move, so the pointers stay valid until erased.
+  std::vector<CoflowEntry*> order_;
   std::map<FlowId, ActiveTransfer> active_;
   double uncredited_settled_bits_ = 0.0;
   bool pass_scheduled_ = false;
   Observability* obs_ = nullptr;
+  bool self_audit_ = false;
+  std::string audit_fault_;
+
+  // ----- change stamps ------------------------------------------------------
+  // A coflow whose last match left no eligible edge on a plane can only
+  // gain one when a port it touches frees on that plane, a reservation on
+  // one of its racks lifts, or its pending set grows (DESIGN.md §4).
+  // tick_ orders those events; the per-port arrays hold the tick of each
+  // port's latest one.
+  std::uint64_t tick_ = 1;
+  /// [plane * racks + rack]: tick of the port's last teardown.
+  std::vector<std::uint64_t> out_freed_;
+  std::vector<std::uint64_t> in_freed_;
+  /// [rack]: tick at which some coflow stopped reserving the port.
+  std::vector<std::uint64_t> out_lifted_;
+  std::vector<std::uint64_t> in_lifted_;
 
   // ----- allocation-pass scratch (flat, reused across passes) -------------
   // The pass runs millions of times at 100k-job scale and node-based
@@ -157,8 +215,9 @@ class SunflowScheduler : public CircuitScheduler {
   std::uint64_t scratch_gen_ = 0;
   std::vector<RackId> srcs_;
   std::vector<RackId> dsts_;
-  /// srcs_ index -> (dsts_ index, flow) edges, grouped by construction.
-  std::vector<std::vector<std::pair<std::size_t, Flow*>>> adj_;
+  /// srcs_ index -> (dsts_ index, index into pending) edges, grouped by
+  /// construction.
+  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> adj_;
 };
 
 }  // namespace cosched

@@ -88,6 +88,7 @@ class OcsFabric final : public Fabric {
   [[nodiscard]] std::string self_check() const override {
     return sunflow_.self_check();
   }
+  void set_self_audit(bool on) override { sunflow_.set_self_audit(on); }
 
   void set_observability(Observability* obs) override {
     sunflow_.set_observability(obs);

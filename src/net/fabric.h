@@ -197,6 +197,10 @@ class Fabric {
   /// current rotor matching"). Empty string = coherent; the auditor aborts
   /// on anything else. Called at dispatch boundaries and outage edges.
   [[nodiscard]] virtual std::string self_check() const { return {}; }
+  /// Audited runs: let the fabric re-derive its incremental state as it
+  /// goes and report faults through self_check(). Read-only; a no-op for
+  /// fabrics without such state.
+  virtual void set_self_audit(bool on) { (void)on; }
 
   // ----- hooks -------------------------------------------------------------
   /// Invoked exactly once per flow when it finishes draining on the fabric.

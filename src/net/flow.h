@@ -10,7 +10,9 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "common/ids.h"
 #include "common/units.h"
@@ -38,6 +40,25 @@ enum class FlowPath {
   }
   return "?";
 }
+
+/// Incomplete flows of one coflow, in total and per destination rack. Its
+/// flows keep it current as they complete and reopen, so "has every flow
+/// into rack r drained?" is a lookup instead of a scan over the coflow.
+struct OpenFlowTally {
+  std::int64_t total = 0;
+  std::vector<std::int32_t> by_dst;
+
+  void add(RackId dst, std::int32_t delta) {
+    const auto d = static_cast<std::size_t>(dst.value());
+    if (by_dst.size() <= d) by_dst.resize(d + 1, 0);
+    by_dst[d] += delta;
+    total += delta;
+  }
+  [[nodiscard]] std::int32_t to(RackId dst) const {
+    const auto d = static_cast<std::size_t>(dst.value());
+    return d < by_dst.size() ? by_dst[d] : 0;
+  }
+};
 
 class Flow {
  public:
@@ -78,7 +99,10 @@ class Flow {
   void add_demand(DataSize extra) {
     size_ += extra;
     remaining_bits_ += static_cast<double>(extra.in_bytes()) * 8.0;
-    if (completed_ && remaining_bits_ > 0.0) completed_ = false;
+    if (completed_ && remaining_bits_ > 0.0) {
+      completed_ = false;
+      if (tally_ != nullptr) tally_->add(dst_, 1);
+    }
   }
 
   void mark_started(SimTime now) {
@@ -89,6 +113,7 @@ class Flow {
   }
 
   void mark_completed(SimTime now) {
+    if (!completed_ && tally_ != nullptr) tally_->add(dst_, -1);
     completed_ = true;
     remaining_bits_ = 0.0;
     completion_time_ = now;
@@ -120,6 +145,13 @@ class Flow {
   [[nodiscard]] DataSize circuit_credited() const { return circuit_credited_; }
   void set_circuit_credited(DataSize bytes) { circuit_credited_ = bytes; }
 
+  /// Attach the owning coflow's tally at creation; the flow counts itself
+  /// in while incomplete. A free-standing flow has none.
+  void set_tally(OpenFlowTally* tally) {
+    tally_ = tally;
+    if (tally_ != nullptr && !completed_) tally_->add(dst_, 1);
+  }
+
  private:
   FlowId id_;
   CoflowId coflow_;
@@ -137,6 +169,7 @@ class Flow {
   EventHandle completion_event_;
   SimTime planned_completion_ = SimTime::infinity();
   DataSize circuit_credited_ = DataSize::zero();
+  OpenFlowTally* tally_ = nullptr;
 };
 
 }  // namespace cosched

@@ -240,6 +240,7 @@ void CoScheduler::on_job_submitted(Job& job, SchedContext& ctx) {
   // Every job has at least one map (JobSpec::validate); reduce-candidate
   // membership begins at on_maps_completed, matching reduces_eligible.
   u.map_candidates.emplace(s, &job);
+  ++candidates_;
   place_input(job, ctx);
 }
 
@@ -329,8 +330,10 @@ void CoScheduler::on_maps_completed(Job& job, SchedContext& ctx) {
   // reduce plan.
   invalidate_no_grant_cache();
   if (job.spec().num_reduces > 0) {
-    users_[job.spec().user].reduce_candidates.emplace(seq_.at(job.id()),
-                                                      &job);
+    UserState& u = users_[job.spec().user];
+    if (u.reduce_candidates.emplace(seq_.at(job.id()), &job).second) {
+      ++candidates_;
+    }
   }
   const std::vector<DataSize> sm = planning_input(job, ctx);
   if (sm.empty()) return;
@@ -394,16 +397,74 @@ bool CoScheduler::map_overflow_allowed(Job& job, const SchedContext& ctx) {
   return true;
 }
 
+bool CoScheduler::map_overflow_open(const SchedContext& ctx) const {
+  for (const auto& [user, state] : users_) {
+    for (const auto& [s, job] : state.map_candidates) {
+      if (job->next_pending_map_any() != nullptr &&
+          map_overflow_allowed(*job, ctx)) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+void CoScheduler::prune_exhausted_candidates() {
+  for (auto& [user, state] : users_) {
+    for (auto it = state.map_candidates.begin();
+         it != state.map_candidates.end();) {
+      it = it->second->next_pending_map_any() == nullptr
+               ? erase_candidate(state.map_candidates, it)
+               : std::next(it);
+    }
+    for (auto it = state.reduce_candidates.begin();
+         it != state.reduce_candidates.end();) {
+      it = it->second->next_pending_reduce() == nullptr
+               ? erase_candidate(state.reduce_candidates, it)
+               : std::next(it);
+    }
+  }
+  prune_due_ = false;
+}
+
 std::optional<TaskChoice> CoScheduler::pick_task(RackId rack,
                                                  SchedContext& ctx) {
   PerfScope perf(PerfPhase::kOcasGrant);
   perf.set_size(ctx.active_jobs.size());
   const auto num_racks = static_cast<std::size_t>(ctx.topo.num_racks);
-  if (no_grant_epoch_.size() < num_racks) no_grant_epoch_.resize(num_racks, 0);
+  if (no_grant_.size() < num_racks) no_grant_.resize(num_racks);
+  // A grant reverses a decline only through the class-6 gate (DESIGN.md
+  // §10): re-check it once per batch of grants, not at every grant.
+  if (overflow_check_due_) {
+    overflow_check_due_ = false;
+    if (map_overflow_open(ctx)) invalidate_no_grant_cache();
+  }
   const auto ri = static_cast<std::size_t>(rack.value());
   // A memo hit proves only this rack declined at this epoch.
   last_decline_global_ = false;
-  if (no_grant_epoch_[ri] == epoch_) return std::nullopt;
+  NoGrantMemo& memo = no_grant_[ri];
+  if (memo.epoch == epoch_) {
+    if (memo.placements != placements_) {
+      // The decline outlived grants. Replay what a fresh declining scan
+      // would leave behind, so the candidate lists and the global verdict
+      // stay those of a memo that forgets at every grant: the index was
+      // empty or not, and every exhausted candidate gets pruned.
+      last_decline_global_ = candidates_ == 0;
+      if (prune_due_) prune_exhausted_candidates();
+      memo.placements = placements_;
+    }
+    return std::nullopt;
+  }
+  // An empty candidate index never mentions the offered rack, so this
+  // nullopt holds for every rack until the next epoch bump. This is the
+  // common steady-state shape (all placed tasks are running, nothing is
+  // releasable), and it lets the driver's offer queue end the wave after
+  // this single pick.
+  if (candidates_ == 0) {
+    memo = NoGrantMemo{epoch_, placements_};
+    last_decline_global_ = true;
+    return std::nullopt;
+  }
 
   // Fair user order over the tracked users. fair_user_order stable-sorts a
   // uid-ascending (user, running) list by (running, uid); iterating the
@@ -411,28 +472,23 @@ std::optional<TaskChoice> CoScheduler::pick_task(RackId rack,
   // same total order. Users without candidates cannot match any class and
   // are filtered up front — (running, uid) is a strict total order, so
   // filtering commutes with sorting.
-  std::vector<std::pair<std::int64_t, UserState*>> order;
-  order.reserve(users_.size());
+  user_order_.clear();
   for (auto& [user, state] : users_) {
     if (state.map_candidates.empty() && state.reduce_candidates.empty()) {
       continue;
     }
-    order.emplace_back(state.running, &state);
+    user_order_.emplace_back(state.running, &state);
   }
   std::stable_sort(
-      order.begin(), order.end(),
+      user_order_.begin(), user_order_.end(),
       [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  for (auto& [running, state] : order) {
+  for (auto& [running, state] : user_order_) {
     if (auto choice = scan_user(*state, rack, ctx)) return choice;
   }
-  no_grant_epoch_[ri] = epoch_;
-  // Empty order means no user had any candidate at all — a condition that
-  // never mentioned the offered rack, so this nullopt holds for every rack
-  // until the next epoch bump. This is the common steady-state shape (all
-  // placed tasks are running, nothing is releasable), and it lets the
-  // driver's offer queue end the wave after this single pick.
-  last_decline_global_ = order.empty();
+  memo = NoGrantMemo{epoch_, placements_};
+  // A declining scan visits, and so prunes, every candidate.
+  prune_due_ = false;
   return std::nullopt;
 }
 
@@ -470,7 +526,7 @@ std::optional<TaskChoice> CoScheduler::scan_user(UserState& u, RackId rack,
     Job* job = it->second;
     Task* t = job->next_pending_reduce();
     if (t == nullptr) {
-      it = u.reduce_candidates.erase(it);
+      it = erase_candidate(u.reduce_candidates, it);
       continue;
     }
     if (job->shuffle_heavy() && job->has_reduce_plan() &&
@@ -483,7 +539,7 @@ std::optional<TaskChoice> CoScheduler::scan_user(UserState& u, RackId rack,
   for (auto it = u.map_candidates.begin(); it != u.map_candidates.end();) {
     Job* job = it->second;
     if (job->next_pending_map_any() == nullptr) {
-      it = u.map_candidates.erase(it);
+      it = erase_candidate(u.map_candidates, it);
       continue;
     }
     if (job->shuffle_heavy() && job->r_map_guideline() > 0 &&
@@ -500,7 +556,7 @@ std::optional<TaskChoice> CoScheduler::scan_user(UserState& u, RackId rack,
     Job* job = it->second;
     Task* t = job->next_pending_reduce();
     if (t == nullptr) {
-      it = u.reduce_candidates.erase(it);
+      it = erase_candidate(u.reduce_candidates, it);
       continue;
     }
     if (!job->shuffle_heavy()) return TaskChoice{job, t, 3};
@@ -510,7 +566,7 @@ std::optional<TaskChoice> CoScheduler::scan_user(UserState& u, RackId rack,
   for (auto it = u.map_candidates.begin(); it != u.map_candidates.end();) {
     Job* job = it->second;
     if (job->next_pending_map_any() == nullptr) {
-      it = u.map_candidates.erase(it);
+      it = erase_candidate(u.map_candidates, it);
       continue;
     }
     if (!job->shuffle_heavy()) {
@@ -524,7 +580,7 @@ std::optional<TaskChoice> CoScheduler::scan_user(UserState& u, RackId rack,
     Job* job = it->second;
     Task* t = job->next_pending_map_any();
     if (t == nullptr) {
-      it = u.map_candidates.erase(it);
+      it = erase_candidate(u.map_candidates, it);
       continue;
     }
     if (!job->shuffle_heavy()) return TaskChoice{job, t, 4};
@@ -536,7 +592,7 @@ std::optional<TaskChoice> CoScheduler::scan_user(UserState& u, RackId rack,
     Job* job = it->second;
     Task* t = job->next_pending_reduce();
     if (t == nullptr) {
-      it = u.reduce_candidates.erase(it);
+      it = erase_candidate(u.reduce_candidates, it);
       continue;
     }
     if (job->shuffle_heavy() && !job->has_reduce_plan()) {
@@ -548,7 +604,7 @@ std::optional<TaskChoice> CoScheduler::scan_user(UserState& u, RackId rack,
   for (auto it = u.map_candidates.begin(); it != u.map_candidates.end();) {
     Job* job = it->second;
     if (job->next_pending_map_any() == nullptr) {
-      it = u.map_candidates.erase(it);
+      it = erase_candidate(u.map_candidates, it);
       continue;
     }
     if (map_overflow_allowed(*job, ctx)) {
@@ -562,7 +618,7 @@ std::optional<TaskChoice> CoScheduler::scan_user(UserState& u, RackId rack,
     Job* job = it->second;
     Task* t = job->next_pending_map_any();
     if (t == nullptr) {
-      it = u.map_candidates.erase(it);
+      it = erase_candidate(u.map_candidates, it);
       continue;
     }
     if (map_overflow_allowed(*job, ctx)) return TaskChoice{job, t, 6};
@@ -573,7 +629,12 @@ std::optional<TaskChoice> CoScheduler::scan_user(UserState& u, RackId rack,
 
 void CoScheduler::on_task_placed(Job& job, Task& task, RackId rack) {
   (void)task, (void)rack;
-  invalidate_no_grant_cache();
+  // No epoch bump: a grant only shrinks OCAS classes 1-5 and the any-rack
+  // half of class 6, so a decline survives it unless the class-6 gate
+  // opens, which the next pick_task checks (DESIGN.md §10).
+  ++placements_;
+  overflow_check_due_ = true;
+  prune_due_ = true;
   ++users_[job.spec().user].running;
 }
 
@@ -589,11 +650,9 @@ void CoScheduler::on_task_requeued(Job& job, Task& task, RackId rack) {
   UserState& u = users_[job.spec().user];
   --u.running;
   const std::int64_t s = seq_.at(job.id());
-  if (task.kind() == TaskKind::kMap) {
-    u.map_candidates.emplace(s, &job);
-  } else {
-    u.reduce_candidates.emplace(s, &job);
-  }
+  auto& candidates = task.kind() == TaskKind::kMap ? u.map_candidates
+                                                    : u.reduce_candidates;
+  if (candidates.emplace(s, &job).second) ++candidates_;
 }
 
 void CoScheduler::on_job_completed(Job& job) {
@@ -603,8 +662,8 @@ void CoScheduler::on_job_completed(Job& job) {
                     "untracked job " << job.id() << " completed");
   const auto uit = users_.find(job.spec().user);
   COSCHED_CHECK(uit != users_.end());
-  uit->second.map_candidates.erase(it->second);
-  uit->second.reduce_candidates.erase(it->second);
+  candidates_ -= uit->second.map_candidates.erase(it->second) +
+                 uit->second.reduce_candidates.erase(it->second);
   if (--uit->second.active == 0) users_.erase(uit);
   seq_.erase(it);
 }
@@ -652,6 +711,17 @@ std::string CoScheduler::audit_invariants(
                       "has eligible pending reduces but is not a reduce "
                       "candidate");
     }
+  }
+
+  std::size_t listed = 0;
+  for (const auto& [user, state] : users_) {
+    listed += state.map_candidates.size() + state.reduce_candidates.size();
+  }
+  if (listed != candidates_) {
+    std::ostringstream os;
+    os << "candidate count " << candidates_ << " but the lists hold "
+       << listed;
+    return os.str();
   }
 
   // Retired jobs' state must actually be freed: nothing tracked beyond the

@@ -229,10 +229,25 @@ class CoScheduler : public JobScheduler {
   std::optional<TaskChoice> scan_user(UserState& u, RackId rack,
                                       SchedContext& ctx);
 
-  /// Any state change that could turn a cached "no grant on this rack"
-  /// answer into a grant invalidates every cached answer. Conservatively
-  /// bumped on every notification hook: over-bumping costs one extra scan
-  /// per rack, staleness would silently change a grant.
+  /// Erase one candidate-list entry, keeping candidates_ in step.
+  std::map<std::int64_t, Job*>::iterator erase_candidate(
+      std::map<std::int64_t, Job*>& list,
+      std::map<std::int64_t, Job*>::iterator it) {
+    --candidates_;
+    return list.erase(it);
+  }
+  /// Drop every candidate with nothing left to place, exactly as a full
+  /// declining scan does.
+  void prune_exhausted_candidates();
+  /// Whether some map candidate with a pending map has an open class-6
+  /// gate: the one way a grant can turn a decline into a grant.
+  [[nodiscard]] bool map_overflow_open(const SchedContext& ctx) const;
+
+  /// A state change that could turn a cached "no grant on this rack"
+  /// answer into a grant invalidates every cached answer. Bumped on every
+  /// notification hook except on_task_placed, which defers to the class-6
+  /// check in pick_task: over-bumping costs one extra scan per rack,
+  /// staleness would silently change a grant.
   void invalidate_no_grant_cache() { ++epoch_; }
 
   Options opts_;
@@ -245,12 +260,29 @@ class CoScheduler : public JobScheduler {
   std::int64_t next_seq_ = 0;
   /// Per-rack memo of "pick_task returned nullopt at epoch E": a dispatch
   /// wave re-offers idle racks many times; once nothing is grantable on a
-  /// rack, it stays ungrantable until some hook bumps epoch_.
-  std::vector<std::uint64_t> no_grant_epoch_;
+  /// rack, it stays ungrantable until some hook bumps epoch_. `placements`
+  /// counts the grants the decline has survived, so a memo hit can tell
+  /// whether a memo that forgot at every grant would have rescanned.
+  struct NoGrantMemo {
+    std::uint64_t epoch = 0;
+    std::uint64_t placements = 0;
+  };
+  std::vector<NoGrantMemo> no_grant_;
   std::uint64_t epoch_ = 1;
+  /// Grants so far (on_task_placed calls).
+  std::uint64_t placements_ = 0;
+  /// Entries over every user's two candidate lists.
+  std::size_t candidates_ = 0;
+  /// A grant happened since the last class-6 gate check.
+  bool overflow_check_due_ = false;
+  /// A grant happened since every exhausted candidate was last pruned.
+  bool prune_due_ = false;
+  /// pick_task's fair user order, reused across calls.
+  std::vector<std::pair<std::int64_t, UserState*>> user_order_;
   /// Whether the most recent pick_task nullopt was rack-independent (the
-  /// candidate index was empty). Cleared on every grant and on memo-hit
-  /// declines, which prove nothing about other racks.
+  /// candidate index was empty). Cleared on every grant and on memo hits
+  /// with no grant since the decline, which prove nothing about other
+  /// racks.
   bool last_decline_global_ = false;
 };
 

@@ -40,6 +40,7 @@ SimulationDriver::SimulationDriver(SimConfig cfg, std::vector<JobSpec> workload,
     // draws delta * U[1-pct, 1+pct] per setup — possibly *below* the base
     // delta — so the bound is no longer a guarantee under that fault.
     audit_->set_cct_bound_check(!faults_.has_reconfig_jitter());
+    net_.fabric().set_self_audit(true);
   }
   net_.fabric().set_on_flow_complete(
       [this](Flow& f) { on_flow_complete(f); });
@@ -578,6 +579,7 @@ void SimulationDriver::on_flow_complete(Flow& flow) {
                             .a = static_cast<std::int64_t>(flow.path())});
   }
   Job* job = live_jobs_.at(flow.job()).job.get();
+  if (audit_) audit_->check_open_flows(*job);
   if (job->all_maps_done() && job->all_reduces_placed() &&
       job->coflow().all_flows_complete() && !job->coflow().completed()) {
     job->coflow().mark_completed(sim_.now());
@@ -585,19 +587,25 @@ void SimulationDriver::on_flow_complete(Flow& flow) {
   try_start_reduce_computes(*job, flow.dst());
 }
 
-bool SimulationDriver::rack_fetch_done(const Job& job, RackId rack) const {
-  for (const auto& f : job.coflow().flows()) {
-    if (f->dst() == rack && !f->completed()) return false;
-  }
-  return true;
-}
-
 void SimulationDriver::try_start_reduce_computes(Job& job, RackId rack) {
   if (!job.all_maps_done() || !job.shuffle_released()) return;
-  if (!rack_fetch_done(job, rack)) return;
-  for (Task& t : job.reduces()) {
-    if (t.state() != TaskState::kRunning || t.compute_started()) continue;
-    if (t.rack() != rack) continue;
+  if (!job.coflow().flows_into_done(rack)) return;
+  // Only the job's reduces running on this rack can start: take them from
+  // the rack's running list and visit them in task-index order, the order
+  // of a walk over job.reduces().
+  std::vector<Task*>& waiting = reduce_scratch_;
+  waiting.clear();
+  for (Task* t : running_by_rack_[static_cast<std::size_t>(rack.value())]) {
+    if (t->job() == job.id() && t->kind() == TaskKind::kReduce &&
+        t->state() == TaskState::kRunning && !t->compute_started()) {
+      waiting.push_back(t);
+    }
+  }
+  std::sort(waiting.begin(), waiting.end(), [](const Task* a, const Task* b) {
+    return a->index() < b->index();
+  });
+  for (Task* tp : waiting) {
+    Task& t = *tp;
     t.begin_compute(sim_.now());
     if (cfg_.obs != nullptr) {
       cfg_.obs->trace.record({.kind = TraceEventKind::kReduceComputeStart,
@@ -607,7 +615,6 @@ void SimulationDriver::try_start_reduce_computes(Job& job, RackId rack) {
                               .src = rack});
     }
     Job* jp = &job;
-    Task* tp = &t;
     EventHandle done = sim_.schedule_after(
         t.run_duration(), [this, jp, tp] { on_reduce_complete(*jp, *tp); });
     if (faults_.has_container_kill()) {

@@ -184,7 +184,8 @@ class SimulationDriver : public AvailabilityOracle {
   /// true if it changed anything.
   bool break_deadlock();
 
-  [[nodiscard]] bool rack_fetch_done(const Job& job, RackId rack) const;
+  /// Start the compute phase of `job`'s reduces on `rack` once every flow
+  /// into the rack has drained (idempotent).
   void try_start_reduce_computes(Job& job, RackId rack);
   /// The job's last task completed: write its JobRecord into its arrival
   /// slot, detach it from the scheduler, fabric and auditor, and free it
@@ -227,6 +228,8 @@ class SimulationDriver : public AvailabilityOracle {
   std::size_t jobs_arrived_ = 0;
 
   std::vector<std::vector<Task*>> running_by_rack_;
+  /// try_start_reduce_computes scratch (reused, no state between calls).
+  std::vector<Task*> reduce_scratch_;
   std::unordered_set<FlowId> flows_in_fabric_;
   /// Reduce tasks per (job, rack) whose demand is already in the coflow:
   /// a flat per-rack vector (indexed by rack) per job, erased with the job.

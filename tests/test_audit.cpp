@@ -1,8 +1,10 @@
 // The runtime invariant auditor (ctest -L audit): clean runs across
 // schedulers and fault plans pass every check, a deliberately corrupted
 // byte ledger is caught with a structured dump, audited runs are
-// bit-for-bit identical to unaudited ones, and the event-queue consistency
-// scan holds under cancel/compaction churn.
+// bit-for-bit identical to unaudited ones, the event-queue consistency
+// scan holds under cancel/compaction churn, and the checks on incremental
+// state (open-flow tallies, Sunflow's skips and pending lists) fire when
+// that state is corrupted.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -12,6 +14,8 @@
 #include <vector>
 
 #include "audit/invariant_auditor.h"
+#include "coflow/sunflow.h"
+#include "fabric/ocs_fabric.h"
 #include "faults/fault_spec.h"
 #include "sched/coscheduler.h"
 #include "sched/fair.h"
@@ -211,6 +215,199 @@ TEST(Audit, QueueConsistentThroughCancelAndCompactionChurn) {
   sim.run();
   EXPECT_TRUE(sim.queue_consistent());
   EXPECT_GT(sim.queue_compactions(), 0);
+}
+
+// ---- incremental state: tallies and skips are re-derived -------------------
+
+TEST(Audit, OpenFlowTallyFollowsFlowsAndCatchesADetachedFlow) {
+  HybridTopology topo;
+  topo.num_racks = 4;
+  Simulator sim;
+  Network net(sim, topo, std::make_unique<OcsFabric>(sim, topo, 1));
+  Cluster cluster(topo);
+  InvariantAuditor auditor(sim, net, cluster, net.fabric(), topo);
+  IdAllocator<TaskId> task_ids;
+  IdAllocator<FlowId> flow_ids;
+  Job job(shuffle_job(0, 2, 2, 8.0, 1.0), topo.elephant_threshold, task_ids,
+          CoflowId{0});
+  Coflow& c = job.coflow();
+  const DataSize gb = DataSize::gigabytes(1);
+  Flow* a = c.add_demand(flow_ids, RackId{0}, RackId{1}, gb).first;
+  Flow* b = c.add_demand(flow_ids, RackId{2}, RackId{1}, gb).first;
+  Flow* d = c.add_demand(flow_ids, RackId{0}, RackId{2}, gb).first;
+  EXPECT_FALSE(c.flows_into_done(RackId{1}));
+  a->mark_completed(SimTime::seconds(1));
+  a->mark_completed(SimTime::seconds(1));  // idempotent
+  b->mark_completed(SimTime::seconds(1));
+  EXPECT_TRUE(c.flows_into_done(RackId{1}));
+  EXPECT_FALSE(c.all_flows_complete());
+  d->mark_completed(SimTime::seconds(2));
+  EXPECT_TRUE(c.all_flows_complete());
+  // A late reduce reopens a drained flow.
+  c.add_demand(flow_ids, RackId{0}, RackId{1}, gb);
+  EXPECT_FALSE(c.flows_into_done(RackId{1}));
+  EXPECT_FALSE(c.all_flows_complete());
+  EXPECT_EQ(c.audit_open_flows(), "");
+  EXPECT_NO_THROW(auditor.check_open_flows(job));
+
+  // A flow that completes without reporting to the tally leaves it one
+  // over.
+  a->set_tally(nullptr);
+  a->mark_completed(SimTime::seconds(3));
+  EXPECT_FALSE(c.flows_into_done(RackId{1}));
+  EXPECT_NE(c.audit_open_flows().find("into rack 1"), std::string::npos)
+      << c.audit_open_flows();
+  try {
+    auditor.check_open_flows(job);
+    FAIL() << "corrupted open-flow tally was not caught";
+  } catch (const AuditFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("open-flow-tally"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+/// One-plane Sunflow with self-audit on: coflow `head` holds a circuit
+/// 0->1 and coflow `tail` waits on out-port 0 with a flow 0->2.
+struct AuditedSunflow {
+  HybridTopology topo = make_topo();
+  Simulator sim;
+  Network net{sim, topo, std::make_unique<OcsFabric>(sim, topo, 1)};
+  SunflowScheduler sunflow{sim, net.fabric()};
+  IdAllocator<FlowId> flow_ids;
+  Coflow head{CoflowId{0}, JobId{0}};
+  Coflow tail{CoflowId{1}, JobId{1}};
+  Flow* held = nullptr;
+  Flow* waiting = nullptr;
+
+  static HybridTopology make_topo() {
+    HybridTopology t;
+    t.num_racks = 4;
+    t.ocs_link = Bandwidth::gbps(100);
+    t.ocs_reconfig_delay = Duration::milliseconds(10);
+    return t;
+  }
+
+  AuditedSunflow() {
+    sunflow.set_self_audit(true);
+    held = head.add_demand(flow_ids, RackId{0}, RackId{1},
+                           DataSize::gigabytes(1))
+               .first;
+    waiting = tail.add_demand(flow_ids, RackId{0}, RackId{2},
+                              DataSize::gigabytes(100))
+                  .first;
+    held->set_path(FlowPath::kOcs);
+    waiting->set_path(FlowPath::kOcs);
+    sunflow.submit(head, *held);
+  }
+
+  /// Run the pending allocation pass, stopping before any circuit is up.
+  void run_pass() { sim.run_until(sim.now() + Duration::milliseconds(1)); }
+};
+
+TEST(Audit, SunflowSkipIsExactOnTheCleanPath) {
+  AuditedSunflow fx;
+  fx.sunflow.submit(fx.tail, *fx.waiting);
+  fx.run_pass();  // head takes 0->1; tail is skipped: out-port 0 is busy
+  EXPECT_EQ(fx.sunflow.pending_flows(), 1u);
+  EXPECT_EQ(fx.sunflow.self_check(), "");
+  fx.sim.run();
+  EXPECT_TRUE(fx.held->completed());
+  EXPECT_TRUE(fx.waiting->completed());
+  EXPECT_EQ(fx.sunflow.self_check(), "");
+}
+
+TEST(Audit, SunflowSkipOfAnEligibleEdgeIsCaught) {
+  AuditedSunflow fx;
+  fx.sunflow.submit(fx.tail, *fx.waiting);
+  fx.run_pass();
+  ASSERT_EQ(fx.sunflow.self_check(), "");
+  // Free out-port 0 behind Sunflow's back: no change stamp records it, so
+  // the next pass wrongly skips the tail coflow, whose 0->2 edge is now
+  // eligible. The from-scratch rescan must notice.
+  fx.net.fabric().plane(0)->teardown_circuit(RackId{0}, RackId{1});
+  fx.sunflow.kick();
+  fx.run_pass();
+  EXPECT_NE(fx.sunflow.self_check().find("skipped on plane 0 with an "
+                                         "eligible edge"),
+            std::string::npos)
+      << fx.sunflow.self_check();
+}
+
+TEST(Audit, SunflowDuplicatePendingPairIsCaught) {
+  AuditedSunflow fx;
+  // The same rack pair queued twice breaks the one-flow-per-pair rule the
+  // incremental sort relies on.
+  fx.sunflow.submit(fx.tail, *fx.waiting);
+  fx.sunflow.submit(fx.tail, *fx.waiting);
+  fx.run_pass();
+  EXPECT_NE(fx.sunflow.self_check().find("0->2 is pending twice"),
+            std::string::npos)
+      << fx.sunflow.self_check();
+}
+
+TEST(Audit, SunflowLateFlowsMergeIntoTheSortedPrefix) {
+  // The fixture's head holds 0->1, so 3->2 takes a circuit and 3->1 stays
+  // queued, a sorted prefix of one. Flows out of rack 1 arrive later and
+  // sort before it; once 1->0 is matched, the two left queued must still
+  // be in (src, dst) order.
+  AuditedSunflow fx;
+  Coflow c(CoflowId{5}, JobId{5});
+  const auto queue = [&](int src, int dst) {
+    Flow* f = c.add_demand(fx.flow_ids, RackId{src}, RackId{dst},
+                           DataSize::gigabytes(1))
+                  .first;
+    f->set_path(FlowPath::kOcs);
+    fx.sunflow.submit(c, *f);
+  };
+  queue(3, 1);
+  queue(3, 2);
+  fx.run_pass();
+  queue(1, 0);
+  queue(1, 2);
+  fx.run_pass();
+  EXPECT_EQ(fx.sunflow.pending_flows(), 2u);
+  EXPECT_EQ(fx.sunflow.self_check(), "");
+}
+
+TEST(Audit, SunflowReservationLiftReopensAnotherPlane) {
+  // Two planes. The head coflow holds in-port 1 on both; the middle
+  // coflow's 0->1 waits for it and reserves out-port 0, so the tail's
+  // 0->2 is skipped although out-port 0 is free on plane 0. When the head
+  // drains 2->1 from plane 1, the middle takes 0->1 there and stops
+  // reserving out-port 0: the tail must now get plane 0, with no port of
+  // its own having freed.
+  HybridTopology topo = AuditedSunflow::make_topo();
+  Simulator sim;
+  Network net(sim, topo, std::make_unique<OcsFabric>(sim, topo, 2));
+  SunflowScheduler sunflow(sim, net.fabric());
+  sunflow.set_self_audit(true);
+  IdAllocator<FlowId> ids;
+  Coflow head(CoflowId{0}, JobId{0});
+  Coflow middle(CoflowId{1}, JobId{1});
+  Coflow tail(CoflowId{2}, JobId{2});
+  const auto queue = [&](Coflow& c, int src, int dst, double mb) {
+    Flow* f = c.add_demand(ids, RackId{src}, RackId{dst},
+                           DataSize::megabytes(mb))
+                  .first;
+    f->set_path(FlowPath::kOcs);
+    sunflow.submit(c, *f);
+    return f;
+  };
+  queue(head, 3, 1, 2.0);  // 160 us on plane 0
+  queue(head, 2, 1, 1.0);  // 80 us on plane 1
+  Flow* waits = queue(middle, 0, 1, 1000.0);
+  Flow* skipped = queue(tail, 0, 2, 100000.0);
+  sim.run_until(SimTime::seconds(0.005));
+  EXPECT_EQ(sunflow.pending_flows(), 2u);
+  // 2->1 drains at 10.08 ms, 3->1 only at 10.16 ms.
+  sim.run_until(SimTime::seconds(0.01012));
+  EXPECT_EQ(sunflow.self_check(), "");
+  EXPECT_EQ(sunflow.pending_flows(), 0u);
+  sim.run();
+  EXPECT_TRUE(waits->completed());
+  EXPECT_NEAR(skipped->completion_time().sec(), 0.01008 + 0.01 + 8.0, 1e-9);
+  EXPECT_EQ(sunflow.self_check(), "");
 }
 
 }  // namespace

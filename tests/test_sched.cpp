@@ -1,8 +1,9 @@
-// Unit tests for the scheduler module: fairness ordering and the PSRT
-// possible-schedule computation. Whole-scheduler behavior is exercised
-// end-to-end in test_sim.cpp.
+// Unit tests for the scheduler module: fairness ordering, the PSRT
+// possible-schedule computation and OCAS's no-grant memo. Whole-scheduler
+// behavior is exercised end-to-end in test_sim.cpp.
 #include <gtest/gtest.h>
 
+#include "cluster/cluster.h"
 #include "cluster/job.h"
 #include "common/rng.h"
 #include "sched/coscheduler.h"
@@ -240,6 +241,127 @@ TEST(Psrt, RejectsUnfilteredInput) {
   EXPECT_THROW(
       (void)possible_reduce_schedules_incremental(sm, 10, kTe, kBound, 60),
       CheckFailure);
+}
+
+// ----------------------------------------------------------------- OCAS ---
+
+class NoWaitOracle : public AvailabilityOracle {
+ public:
+  Duration estimate_availability(RackId, std::int64_t) override {
+    return Duration::zero();
+  }
+};
+
+// A decline outlives grants that cannot reverse it, except through the
+// class-6 gate: here a grant to another job takes the last free container
+// on a guided job's only guideline rack, which opens the guided job's
+// overflow path, so a rack that declined earlier must now grant.
+TEST(Ocas, GrantThatOpensOverflowGateReversesEarlierDecline) {
+  HybridTopology topo;
+  topo.num_racks = 4;
+  topo.servers_per_rack = 1;
+  topo.slots_per_server = 1;
+  Cluster cluster(topo);
+  IdAllocator<TaskId> ids;
+  JobSpec guided_spec = spec_for_user(0, 1, 2, 1);
+  guided_spec.input_size = DataSize::gigabytes(50);
+  Job guided(guided_spec, topo.elephant_threshold, ids, CoflowId{0});
+  JobSpec planned_spec = spec_for_user(1, 0, 1, 1);
+  planned_spec.input_size = DataSize::gigabytes(50);
+  Job planned(planned_spec, topo.elephant_threshold, ids, CoflowId{1});
+  ASSERT_TRUE(guided.shuffle_heavy());
+  ASSERT_TRUE(planned.shuffle_heavy());
+
+  std::vector<Job*> active{&guided, &planned};
+  NoWaitOracle oracle;
+  Rng rng(7);
+  SchedContext ctx{SimTime::zero(), topo, cluster, active, oracle, rng};
+  CoScheduler sched(CoScheduler::Options{.enable_reduce_planning = false});
+  sched.on_job_submitted(guided, ctx);
+  sched.on_job_submitted(planned, ctx);
+  // The guided job's every block, and its one guideline rack, is rack 0.
+  guided.set_block_placement(
+      std::vector<BlockReplicas>(2, BlockReplicas{{RackId{0}}}));
+  guided.set_r_map_guideline(1);
+  guided.set_guideline_map_racks({RackId{0}});
+  // The planned job's maps are done and its one reduce is planned on
+  // rack 0. It belongs to user 0, who wins the fair-share tie.
+  Task& map = planned.maps()[0];
+  map.place(RackId{3}, NodeId{3}, SimTime::zero());
+  planned.note_map_placed(RackId{3});
+  sched.on_task_placed(planned, map, RackId{3});
+  map.complete(SimTime::seconds(1));
+  planned.note_map_completed(RackId{3}, DataSize::gigabytes(50));
+  sched.on_task_completed(planned, map, RackId{3});
+  sched.on_maps_completed(planned, ctx);
+  planned.set_reduce_plan({{RackId{0}, 1}}, Duration::seconds(1));
+
+  // Rack 1: no plan capacity, not a guideline rack, and the overflow gate
+  // is shut while rack 0 still has a free container for a local map.
+  EXPECT_FALSE(sched.pick_task(RackId{1}, ctx).has_value());
+  EXPECT_FALSE(sched.last_decline_was_global());
+
+  // Rack 0 goes to the planned reduce (class 1), taking its last slot.
+  const std::optional<TaskChoice> reduce = sched.pick_task(RackId{0}, ctx);
+  ASSERT_TRUE(reduce.has_value());
+  EXPECT_EQ(reduce->job, &planned);
+  EXPECT_EQ(reduce->priority_class, 1);
+  const NodeId node = cluster.allocate_slot(RackId{0});
+  reduce->task->place(RackId{0}, node, SimTime::seconds(1));
+  planned.note_reduce_placed(RackId{0});
+  sched.on_task_placed(planned, *reduce->task, RackId{0});
+
+  // No free container is left on the guideline rack: the guided job may
+  // overflow, so rack 1 now grants it a (remote) map.
+  const std::optional<TaskChoice> overflow = sched.pick_task(RackId{1}, ctx);
+  ASSERT_TRUE(overflow.has_value());
+  EXPECT_EQ(overflow->job, &guided);
+  EXPECT_EQ(overflow->priority_class, 6);
+  EXPECT_EQ(sched.audit_invariants(active), "");
+}
+
+// A decline that outlives a grant reports what a rescan would have: the
+// rescan prunes the candidate the grant exhausted, so once the index is
+// empty every later re-offer in the wave is a global decline.
+TEST(Ocas, DeclineOutlivingAGrantReportsTheRescansGlobalVerdict) {
+  HybridTopology topo;
+  topo.num_racks = 4;
+  topo.servers_per_rack = 1;
+  topo.slots_per_server = 2;
+  Cluster cluster(topo);
+  IdAllocator<TaskId> ids;
+  JobSpec spec = spec_for_user(0, 0, 1, 1);
+  spec.input_size = DataSize::gigabytes(50);
+  Job job(spec, topo.elephant_threshold, ids, CoflowId{0});
+  std::vector<Job*> active{&job};
+  NoWaitOracle oracle;
+  Rng rng(7);
+  SchedContext ctx{SimTime::zero(), topo, cluster, active, oracle, rng};
+  CoScheduler sched(CoScheduler::Options{.enable_reduce_planning = false});
+  sched.on_job_submitted(job, ctx);
+  job.set_block_placement({BlockReplicas{{RackId{0}}}});
+  job.set_r_map_guideline(1);
+  job.set_guideline_map_racks({RackId{0}});
+
+  for (const std::int32_t r : {1, 2}) {
+    EXPECT_FALSE(sched.pick_task(RackId{r}, ctx).has_value()) << r;
+    EXPECT_FALSE(sched.last_decline_was_global()) << r;
+  }
+  const std::optional<TaskChoice> map = sched.pick_task(RackId{0}, ctx);
+  ASSERT_TRUE(map.has_value());
+  const NodeId node = cluster.allocate_slot(RackId{0});
+  map->task->place(RackId{0}, node, SimTime::zero());
+  job.note_map_placed(RackId{0});
+  sched.on_task_placed(job, *map->task, RackId{0});
+
+  // The job is exhausted but still listed: the first re-offer prunes it.
+  EXPECT_FALSE(sched.pick_task(RackId{1}, ctx).has_value());
+  EXPECT_FALSE(sched.last_decline_was_global());
+  for (const std::int32_t r : {2, 3}) {
+    EXPECT_FALSE(sched.pick_task(RackId{r}, ctx).has_value()) << r;
+    EXPECT_TRUE(sched.last_decline_was_global()) << r;
+  }
+  EXPECT_EQ(sched.audit_invariants(active), "");
 }
 
 }  // namespace
